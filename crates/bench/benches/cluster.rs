@@ -1,6 +1,11 @@
 //! Benchmarks of the real-thread cluster: lock service latency and a full
 //! mini-run including the serializability check.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "D1 allowlist: the bench times real threads on the wall clock"
+)]
+
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

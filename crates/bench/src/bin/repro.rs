@@ -57,6 +57,12 @@
 //! synthetic history to the matching oracle and exits non-zero when (and
 //! only when) it fires — the self-test that proves the oracles are alive.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary: stdout/stderr are its interface"
+)]
+
 use std::process::ExitCode;
 
 use siteselect_bench::repro_options;
@@ -169,6 +175,39 @@ fn parse_check_flags(args: &[String]) -> Result<CheckFlags, String> {
     })
 }
 
+const USAGE: &str = "\
+usage: repro [TARGET] [FLAGS]
+
+targets: table1 figure1 figure2 figure3 figure4 figure5 table2 table3 table4
+         ablations faults trace blame check bench all (default: all)
+
+flags:   --quick  --clients N  --seed S  --jobs N  --out PATH  --baseline FILE
+         --compare OLD.json NEW.json  --json  --system ce|cs|ls  --update F
+         --chaos F  --restart  --duration SECS  --warmup SECS  --seeds N
+         --top K  --inject-violation KIND  --help
+
+See the crate docs of crates/bench/src/bin/repro.rs for what each does.";
+
+/// Flags that take one value.
+const VALUE_FLAGS: [&str; 13] = [
+    "--clients",
+    "--seed",
+    "--out",
+    "--jobs",
+    "--baseline",
+    "--system",
+    "--update",
+    "--chaos",
+    "--duration",
+    "--warmup",
+    "--seeds",
+    "--top",
+    "--inject-violation",
+];
+
+/// Flags without a value (`--compare` takes its two paths separately).
+const SWITCHES: [&str; 4] = ["--quick", "--restart", "--json", "--compare"];
+
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("repro: {message}");
     ExitCode::FAILURE
@@ -176,6 +215,43 @@ fn usage_error(message: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A target is any token that is neither a flag nor a flag's value.
+    let value_slots: Vec<usize> = args
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| VALUE_FLAGS.contains(&a.as_str()))
+        .map(|(i, _)| i + 1)
+        .collect();
+    // `--compare` is the one flag that takes two values.
+    let compare_pos = args.iter().position(|a| a == "--compare");
+    let value_slots: Vec<usize> = match compare_pos {
+        Some(pos) => value_slots
+            .into_iter()
+            .chain([pos + 1, pos + 2])
+            .collect(),
+        None => value_slots,
+    };
+    let flags = args
+        .iter()
+        .enumerate()
+        .filter(|(i, a)| a.starts_with('-') && !value_slots.contains(i))
+        .map(|(_, a)| a.as_str());
+    for flag in flags {
+        match flag {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            f if VALUE_FLAGS.contains(&f) || SWITCHES.contains(&f) => {}
+            f => return usage_error(&format!("unknown flag `{f}`\n\n{USAGE}")),
+        }
+    }
+    let targets: Vec<&str> = args
+        .iter()
+        .enumerate()
+        .filter(|(i, a)| !a.starts_with("--") && !value_slots.contains(i))
+        .map(|(_, a)| a.as_str())
+        .collect();
     let quick = args.iter().any(|a| a == "--quick");
     let clients_override = match parsed_flag::<u16>(&args, "--clients") {
         Ok(v) => v,
@@ -208,45 +284,6 @@ fn main() -> ExitCode {
     }
     let out_dir = flag_value(&args, "--out").unwrap_or("target/trace");
     let baseline = flag_value(&args, "--baseline");
-    // A target is any token that is neither a flag nor a flag's value.
-    let value_slots: Vec<usize> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            matches!(
-                a.as_str(),
-                "--clients"
-                    | "--seed"
-                    | "--out"
-                    | "--jobs"
-                    | "--baseline"
-                    | "--system"
-                    | "--update"
-                    | "--chaos"
-                    | "--duration"
-                    | "--warmup"
-                    | "--seeds"
-                    | "--top"
-                    | "--inject-violation"
-            )
-        })
-        .map(|(i, _)| i + 1)
-        .collect();
-    // `--compare` is the one flag that takes two values.
-    let compare_pos = args.iter().position(|a| a == "--compare");
-    let value_slots: Vec<usize> = match compare_pos {
-        Some(pos) => value_slots
-            .into_iter()
-            .chain([pos + 1, pos + 2])
-            .collect(),
-        None => value_slots,
-    };
-    let targets: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && !value_slots.contains(i))
-        .map(|(_, a)| a.as_str())
-        .collect();
     let target = targets.first().copied().unwrap_or("all");
     let mut opts = repro_options(quick);
     opts.jobs = jobs.unwrap_or(0);
@@ -323,9 +360,10 @@ fn banner(title: &str) {
     println!("\n=== {title} ===\n");
 }
 
-// Infallible today, but every arm of the command dispatch returns the
-// same `Result<(), AnyError>` shape.
-#[allow(clippy::unnecessary_wraps)]
+#[expect(
+    clippy::unnecessary_wraps,
+    reason = "infallible today, but every arm of the command dispatch returns the same Result shape"
+)]
 fn table1() -> Result<(), AnyError> {
     banner("Table 1: experimental parameters (active preset)");
     let cfg = ExperimentConfig::paper(SystemKind::ClientServer, 100, 0.05);
@@ -354,9 +392,10 @@ fn table1() -> Result<(), AnyError> {
     Ok(())
 }
 
-// Infallible today, but every arm of the command dispatch returns the
-// same `Result<(), AnyError>` shape.
-#[allow(clippy::unnecessary_wraps)]
+#[expect(
+    clippy::unnecessary_wraps,
+    reason = "infallible today, but every arm of the command dispatch returns the same Result shape"
+)]
 fn figure1() -> Result<(), AnyError> {
     banner("Figure 1: the 2PL (callback caching) protocol");
     let trace = protocol_costs::figure1_trace();
@@ -365,9 +404,10 @@ fn figure1() -> Result<(), AnyError> {
     Ok(())
 }
 
-// Infallible today, but every arm of the command dispatch returns the
-// same `Result<(), AnyError>` shape.
-#[allow(clippy::unnecessary_wraps)]
+#[expect(
+    clippy::unnecessary_wraps,
+    reason = "infallible today, but every arm of the command dispatch returns the same Result shape"
+)]
 fn figure2() -> Result<(), AnyError> {
     banner("Figure 2: the lock grouping protocol");
     let trace = protocol_costs::figure2_trace();

@@ -1,4 +1,6 @@
 //! Seed sensitivity of the Figure 5 headline point (100 clients, 20%).
+
+#![allow(clippy::print_stdout, reason = "a binary: stdout is its interface")]
 use siteselect_core::run_experiment;
 use siteselect_types::{ExperimentConfig, SimDuration, SystemKind};
 fn main() {

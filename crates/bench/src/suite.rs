@@ -52,7 +52,8 @@ pub struct BenchReport {
     /// `rustc --version` of the toolchain, `"unknown"` if unavailable.
     pub rustc: String,
     /// Short git revision of the tree that produced the numbers,
-    /// `"unknown"` outside a checkout.
+    /// suffixed `-dirty` when tracked files were modified; `"unknown"`
+    /// outside a checkout.
     pub git_rev: String,
     /// Measurements in execution order.
     pub benchmarks: Vec<BenchRecord>,
@@ -68,13 +69,29 @@ fn rustc_version() -> String {
 }
 
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .is_some_and(|changes| !changes.trim().is_empty());
+    format_rev(rev.trim(), dirty)
+}
+
+/// `rev`, suffixed `-dirty` when tracked files differ from it.
+fn format_rev(rev: &str, dirty: bool) -> String {
+    if dirty {
+        format!("{rev}-dirty")
+    } else {
+        rev.to_string()
+    }
 }
 
 fn bench_cfg(system: SystemKind) -> ExperimentConfig {
@@ -626,6 +643,12 @@ impl BenchComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn git_rev_marks_modified_trees_dirty() {
+        assert_eq!(format_rev("087af9d", false), "087af9d");
+        assert_eq!(format_rev("087af9d", true), "087af9d-dirty");
+    }
 
     fn report(names_ns: &[(&str, f64)]) -> BenchReport {
         BenchReport {

@@ -142,3 +142,27 @@ fn small_explorer_run_is_green_and_jobs_invariant() {
     assert!(three.status.success());
     assert_eq!(stdout_of(&one), stdout_of(&three), "report differs across --jobs");
 }
+
+/// `bench` must not start the suite (and overwrite `./BENCH_sim.json`)
+/// for `--help` or an unknown flag: both answer before any work.
+#[test]
+fn bench_help_and_unknown_flags_do_no_work() {
+    let dir = std::env::temp_dir().join(format!("repro_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro")
+    };
+    let help = run(&["bench", "--help"]);
+    assert!(help.status.success(), "--help must exit 0: {}", stderr_of(&help));
+    assert!(stdout_of(&help).contains("usage: repro"), "{}", stdout_of(&help));
+    let bogus = run(&["bench", "--bogus"]);
+    assert!(!bogus.status.success(), "--bogus must fail");
+    assert!(stderr_of(&bogus).contains("unknown flag `--bogus`"), "{}", stderr_of(&bogus));
+    let written: Vec<_> = std::fs::read_dir(&dir).expect("temp dir").collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(written.is_empty(), "repro wrote files: {written:?}");
+}

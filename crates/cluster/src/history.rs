@@ -181,11 +181,19 @@ pub fn check_ops(ops: &[Op]) -> Result<(), SerializabilityError> {
     }
     // Cycle detection: iterative DFS with colors.
     let mut color: HashMap<TransactionId, u8> = HashMap::new(); // 1 = on stack, 2 = done
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cycle detection: whether a cycle exists does not depend on visit order"
+    )]
     let nodes: Vec<TransactionId> = edges.keys().copied().collect();
     for &start in &nodes {
         if color.get(&start).copied().unwrap_or(0) != 0 {
             continue;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cycle detection: whether a cycle exists does not depend on visit order"
+        )]
         let mut stack: Vec<(TransactionId, Vec<TransactionId>)> = vec![(
             start,
             edges.get(&start).map(|s| s.iter().copied().collect()).unwrap_or_default(),
@@ -196,6 +204,10 @@ pub fn check_ops(ops: &[Op]) -> Result<(), SerializabilityError> {
                 Some(next) => match color.get(&next).copied().unwrap_or(0) {
                     0 => {
                         color.insert(next, 1);
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "cycle detection: whether a cycle exists does not depend on visit order"
+                        )]
                         let kids = edges
                             .get(&next)
                             .map(|s| s.iter().copied().collect())

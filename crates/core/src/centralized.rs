@@ -300,10 +300,18 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn measured_at(&self, i: usize) -> bool {
         self.specs[i].arrival >= self.warmup_end
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrive(i) => {
@@ -379,6 +387,10 @@ impl CentralizedSim {
 
     /// Closes out the span of the phase `txn` dies in, so aborted
     /// transactions still account for the wait that killed them.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn emit_phase_span(&self, txn: &CeTxn) {
         let id = self.specs[txn.spec as usize].id;
         match txn.phase {
@@ -398,6 +410,10 @@ impl CentralizedSim {
 
     /// Settles a transaction whose submission (or only record of it) was
     /// lost to a crash or message loss: the origin's timeout scores it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn record_crash_loss(&mut self, i: usize) {
         if self.measured_at(i) {
             let (id, origin) = (self.specs[i].id, self.specs[i].origin);
@@ -411,6 +427,10 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn on_submit(&mut self, i: usize) {
         let (id, arrival, deadline) = {
             let spec = &self.specs[i];
@@ -486,6 +506,10 @@ impl CentralizedSim {
     }
 
     /// Removes every trace of an un-inserted transaction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn abort(&mut self, key: Key, txn: CeTxn, reason: AbortReason) {
         let i = txn.spec as usize;
         let id = self.specs[i].id;
@@ -538,6 +562,10 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn on_lock_granted(&mut self, object: ObjectId, key: Key) {
         let Some(txn) = self.txns.get_mut(&key) else {
             // Granted to a transaction that already aborted: free it again,
@@ -587,6 +615,10 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn start_io(&mut self, key: Key) {
         let Some(txn) = self.txns.get_mut(&key) else {
             return;
@@ -617,6 +649,11 @@ impl CentralizedSim {
         self.queue.push(done, Ev::IoDone(key));
     }
 
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run, and the txn entry was found at the top of the fn"
+    )]
     fn on_io_done(&mut self, key: Key) {
         let (i, io_started) = {
             let Some(txn) = self.txns.get_mut(&key) else {
@@ -670,6 +707,10 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn commit(&mut self, key: Key) {
         let Some(mut txn) = self.txns.remove(&key) else {
             return;
@@ -711,6 +752,10 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn send_result(&mut self, i: usize, committed: bool) {
         let (id, origin, deadline, arrival) = {
             let spec = &self.specs[i];
@@ -782,6 +827,10 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn finish(&mut self, i: usize, outcome: TxnOutcome) {
         self.send_result(i, false);
         if self.measured_at(i) {
@@ -792,11 +841,19 @@ impl CentralizedSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn on_sweep(&mut self) {
         // Drop transactions that missed their deadline, including ones on
         // the CPU ("tasks that have missed their deadlines are not
         // processed at all", §2) — this is what keeps the overloaded
         // centralized server doing useful work for feasible transactions.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected, then sorted before the order-sensitive abort cascade"
+        )]
         let mut dead: Vec<Key> = self
             .txns
             .iter()
@@ -831,6 +888,10 @@ impl CentralizedSim {
     /// immediately in host terms, but its I/O cost is charged to the seeded
     /// disk model, so the rejoin time reflects the log length and any
     /// slow-disk episode in force.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     fn on_server_crash(&mut self) {
         if !self.server_up {
             return; // scheduled crash landed while already down
@@ -841,6 +902,10 @@ impl CentralizedSim {
             site: SiteId::Server,
         });
         self.fabric.set_site_down(SiteId::Server);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected, then sorted before the abort cascade"
+        )]
         let mut keys: Vec<Key> = self
             .txns
             .keys()

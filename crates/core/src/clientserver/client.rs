@@ -65,6 +65,10 @@ impl ClientServerSim {
     // Arrival, H1 and routing
     // ------------------------------------------------------------------
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes specs, the generated workload, which is fixed for the run"
+    )]
     pub(crate) fn on_arrive(&mut self, i: usize) {
         let spec = self.specs[i].clone();
         let key = spec.id.as_u64();
@@ -102,6 +106,10 @@ impl ClientServerSim {
 
     /// Routes a fresh unit of work at client `ci` through the LS heuristics
     /// or straight into acquisition.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn admit(&mut self, ci: usize, key: TKey, run: TxnRun) {
         let spec_deadline = run.spec.deadline;
         if run.spec.is_expired(self.now) {
@@ -180,6 +188,10 @@ impl ClientServerSim {
 
     /// Classifies every access of `key` and sends one batched request for
     /// the objects the client cannot serve locally.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn begin_acquisition(&mut self, ci: usize, key: TKey, grant_all: bool) {
         let Some(run) = self.clients[ci].txns.get(&key) else {
             return;
@@ -252,6 +264,10 @@ impl ClientServerSim {
 
     /// Joins (or creates) the outstanding fetch of `object`; returns the
     /// `Want` to transmit if a new/stronger request must go to the server.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn join_fetch(
         &mut self,
         ci: usize,
@@ -311,6 +327,10 @@ impl ClientServerSim {
 
     /// Requests the local (transaction-level) lock. Returns `true` if the
     /// transaction was aborted to avoid a local deadlock.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn request_local_lock(
         &mut self,
         ci: usize,
@@ -380,6 +400,10 @@ impl ClientServerSim {
         false
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn on_client_disk_ready(
         &mut self,
         ci: usize,
@@ -408,6 +432,10 @@ impl ClientServerSim {
     // Message handling
     // ------------------------------------------------------------------
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn client_on_msg(&mut self, to: ClientId, msg: Msg) {
         let ci = to.index();
         match msg {
@@ -562,6 +590,10 @@ impl ClientServerSim {
 
     /// An object/lock grant arrived: record response time, install the
     /// cached lock (and data), and unblock waiting transactions.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn resolve_fetch(&mut self, ci: usize, object: ObjectId, mode: LockMode, with_data: bool) {
         let c = &mut self.clients[ci];
         let fetch = c.fetches.remove(&object);
@@ -659,6 +691,10 @@ impl ClientServerSim {
 
     /// LS: the grant-all round failed; run H2 and either ship the
     /// transaction or commit to local processing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn on_conflict_report(
         &mut self,
         ci: usize,
@@ -833,6 +869,10 @@ impl ClientServerSim {
             .sum()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn on_load_reply(
         &mut self,
         ci: usize,
@@ -913,6 +953,10 @@ impl ClientServerSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn decompose(&mut self, ci: usize, key: TKey, groups: Vec<(ClientId, Vec<AccessSpec>)>) {
         let Some(run) = self.clients[ci].txns.get_mut(&key) else {
             return;
@@ -979,6 +1023,10 @@ impl ClientServerSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn on_subtask_result(&mut self, ci: usize, parent: TKey, ok: bool) {
         let Some(run) = self.clients[ci].txns.get_mut(&parent) else {
             return; // parent already aborted (e.g. expired)
@@ -1015,6 +1063,10 @@ impl ClientServerSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn ship_txn(&mut self, ci: usize, key: TKey, dest: ClientId) {
         let Some(run) = self.clients[ci].txns.remove(&key) else {
             return;
@@ -1055,11 +1107,19 @@ impl ClientServerSim {
     }
 
     /// Releases everything `key` holds or awaits at client `ci`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn detach_txn(&mut self, ci: usize, key: TKey, run: &TxnRun) {
         // Close out lock waits still open at detach (an aborted/shipped
         // unit stops waiting now).
         if self.sink.is_enabled() {
             let id = self.clients[ci].id;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "collected, then sorted by object on the next line"
+            )]
             let mut open: Vec<(ObjectId, SimTime, Option<TKey>)> = self.clients[ci]
                 .lock_wait_from
                 .iter()
@@ -1093,6 +1153,10 @@ impl ClientServerSim {
         // Outstanding fetches.
         let mut cancelled: Vec<ObjectId> = Vec::new();
         let c = &mut self.clients[ci];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-entry removal; the cancelled list is sorted before it is sent"
+        )]
         c.fetches.retain(|&object, f| {
             f.waiters.retain(|&w| w != key);
             if f.waiters.is_empty() {
@@ -1124,6 +1188,10 @@ impl ClientServerSim {
     // Callbacks, downgrades and forward hops
     // ------------------------------------------------------------------
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn on_recall(
         &mut self,
         ci: usize,
@@ -1157,6 +1225,10 @@ impl ClientServerSim {
 
     /// Converts local-wait transactions on `object` into server fetches
     /// (their cached lock is being revoked or downgraded).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn requeue_local_waiters(&mut self, ci: usize, object: ObjectId) {
         let waiters: Vec<TKey> = self.clients[ci]
             .local_locks
@@ -1211,6 +1283,11 @@ impl ClientServerSim {
 
     /// Executes a pending revocation once no local transaction holds the
     /// object.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn try_execute_revoke(&mut self, ci: usize, object: ObjectId) {
         let c = &self.clients[ci];
         if !c.revokes.contains_key(&object) {
@@ -1359,6 +1436,10 @@ impl ClientServerSim {
     }
 
     /// Local lock grants cascading from a release.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn on_local_grants(&mut self, ci: usize, object: ObjectId, keys: Vec<TKey>) {
         for key in keys {
             let Some(run) = self.clients[ci].txns.get(&key) else {
@@ -1457,6 +1538,10 @@ impl ClientServerSim {
     // Execution and completion
     // ------------------------------------------------------------------
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn check_ready(&mut self, ci: usize, key: TKey) {
         let Some(run) = self.clients[ci].txns.get(&key) else {
             return;
@@ -1495,6 +1580,10 @@ impl ClientServerSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn on_client_cpu(&mut self, ci: usize, generation: u64) {
         match self.clients[ci].cpu.on_completion(self.now, generation) {
             crate::cpu::Tick::Stale => {}
@@ -1515,6 +1604,10 @@ impl ClientServerSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn commit_txn(&mut self, ci: usize, key: TKey) {
         let Some(run) = self.clients[ci].txns.remove(&key) else {
             return;
@@ -1621,6 +1714,10 @@ impl ClientServerSim {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn abort_txn(&mut self, ci: usize, key: TKey, reason: AbortReason) {
         let Some(run) = self.clients[ci].txns.remove(&key) else {
             return;
@@ -1712,6 +1809,10 @@ impl ClientServerSim {
     /// the fabric refuses deliveries until recovery. The site sends
     /// nothing on its way down — the rest of the system learns of the
     /// failure only through timeouts and lease expiry.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn on_site_crash(&mut self, ci: usize) {
         if !self.faults.up[ci] {
             return; // already down (schedules can overlap at run end)
@@ -1725,6 +1826,10 @@ impl ClientServerSim {
             }
         });
         self.fabric.set_site_down(SiteId::Client(id));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected, then sorted before the kill cascade"
+        )]
         let mut keys: Vec<TKey> = self.clients[ci].txns.keys().copied().collect();
         keys.sort_unstable(); // hash order is process-random; kills cascade
         for key in keys {
@@ -1753,6 +1858,10 @@ impl ClientServerSim {
     /// [`abort_txn`](Self::abort_txn) nothing is sent: remote interest is
     /// settled by a synthetic timeout result, and whatever the site held at
     /// the server is reclaimed by callback leases.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     fn kill_run_on_crash(&mut self, ci: usize, key: TKey) {
         let Some(run) = self.clients[ci].txns.remove(&key) else {
             return;
@@ -1828,6 +1937,10 @@ impl ClientServerSim {
 
     /// A crashed site comes back up, cold: it accepts traffic again but
     /// remembers nothing (its caches were wiped at crash time).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn on_site_recover(&mut self, ci: usize) {
         if self.faults.up[ci] {
             return;
@@ -1848,6 +1961,10 @@ impl ClientServerSim {
     /// (capped) backoff. Stale timers — the fetch resolved, was replaced,
     /// or a newer retry round superseded this one — mismatch and do
     /// nothing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn on_retry_fetch(
         &mut self,
         ci: usize,
@@ -1938,8 +2055,16 @@ impl ClientServerSim {
     /// Drops transactions whose deadline passed while they were not yet
     /// executing ("tasks that have missed their deadlines are not processed
     /// at all", §2).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn sweep_expired_txns(&mut self) {
         for ci in 0..self.clients.len() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "collected, then sorted before the abort cascade"
+            )]
             let mut expired: Vec<TKey> = self.clients[ci]
                 .txns
                 .iter()

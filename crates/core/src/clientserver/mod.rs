@@ -535,8 +535,11 @@ impl WaitingWants {
     }
 
     /// Records (or replaces) the want of `client` on `object`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per_client is sized to the client count at construction and ClientIds come from that range"
+    )]
     pub(crate) fn insert(&mut self, object: ObjectId, client: ClientId, info: WantInfo) {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
         let list = &mut self.per_client[client.index()];
         match list.iter_mut().find(|(o, _)| *o == object) {
             Some(slot) => slot.1 = info,
@@ -545,24 +548,33 @@ impl WaitingWants {
     }
 
     /// Removes and returns the want of `client` on `object`, if any.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per_client is sized to the client count at construction and ClientIds come from that range"
+    )]
     pub(crate) fn remove(&mut self, object: ObjectId, client: ClientId) -> Option<WantInfo> {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
         let list = &mut self.per_client[client.index()];
         let pos = list.iter().position(|(o, _)| *o == object)?;
         Some(list.remove(pos).1)
     }
 
     /// True if `client` has a want queued on `object`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per_client is sized to the client count at construction and ClientIds come from that range"
+    )]
     pub(crate) fn contains(&self, object: ObjectId, client: ClientId) -> bool {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
         self.per_client[client.index()]
             .iter()
             .any(|(o, _)| *o == object)
     }
 
     /// All queued wants of `client`, in insertion order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per_client is sized to the client count at construction and ClientIds come from that range"
+    )]
     pub(crate) fn of_client(&self, client: ClientId) -> &[(ObjectId, WantInfo)] {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
         &self.per_client[client.index()]
     }
 }

@@ -498,6 +498,7 @@ impl ClientServerSim {
     // Collection windows and forward lists
     // ------------------------------------------------------------------
 
+    #[expect(clippy::indexing_slicing, reason = "list.len() == 1 is checked on the line above")]
     pub(crate) fn server_on_window_close(&mut self, object: ObjectId) {
         let Some(list) = self.server.windows.close_at(object, self.now) else {
             return;
@@ -778,6 +779,10 @@ impl ClientServerSim {
     /// holder's cached copy (so a zombie or recovered site cannot serve
     /// stale data) and grants the waiters from its own copy. Inert unless
     /// faults are injected and a non-zero lease is configured.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "holder is a ClientId issued at construction; clients holds one entry per client"
+    )]
     fn reclaim_expired_leases(&mut self) {
         let lease = self.cfg.faults.callback_lease;
         if !self.faults.active || lease.is_zero() {
@@ -898,6 +903,10 @@ impl ClientServerSim {
     /// empty and is rebuilt on demand). A cached copy that no longer fits
     /// (possible only via a grant in flight at the crash instant) is fenced
     /// so its holder must re-fetch.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
     pub(crate) fn on_server_recover(&mut self) {
         self.faults.server_up = true;
         self.fabric.set_site_up(SiteId::Server);
@@ -977,6 +986,10 @@ impl ClientServerSim {
             if !self.faults.up[ci] {
                 continue; // a crashed client's work already died with it
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "collected, then sorted before the abort cascade"
+            )]
             let mut stranded: Vec<TKey> =
                 self.clients[ci].txns.keys().copied().collect();
             stranded.sort_unstable();

@@ -148,8 +148,11 @@ impl<K: Copy + Eq> EdfCpu<K> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "called only from dispatch/on_push paths that just set self.running"
+    )]
     fn completion_time(&self, now: SimTime) -> SimTime {
-        // detlint: allow(D9) — called only from dispatch/on_push paths that just set self.running
         let run = self.running.as_ref().expect("running job");
         now + ceil_to_micros(run.remaining / self.speed)
     }
@@ -180,6 +183,10 @@ impl<K: Copy + Eq> EdfCpu<K> {
 
     /// Submits a task. Returns the next completion to schedule (replacing
     /// any previously returned one).
+    #[expect(
+        clippy::expect_used,
+        reason = "the preempting branch runs only after checking that a job is running"
+    )]
     pub fn submit(
         &mut self,
         now: SimTime,
@@ -198,7 +205,6 @@ impl<K: Copy + Eq> EdfCpu<K> {
         match &self.running {
             Some(run) if (job.deadline, job.seq) < (run.deadline, run.seq) => {
                 // Preempt: running job returns to the ready queue.
-                // detlint: allow(D9) — the enclosing match arm is Some(run)
                 let preempted = self.running.take().expect("checked running");
                 self.insert_ready(preempted);
                 self.running = Some(job);
@@ -215,12 +221,15 @@ impl<K: Copy + Eq> EdfCpu<K> {
     }
 
     /// Delivers a completion event scheduled earlier.
+    #[expect(
+        clippy::expect_used,
+        reason = "the generation matched, so the job that armed this completion still runs"
+    )]
     pub fn on_completion(&mut self, now: SimTime, generation: u64) -> Tick<K> {
         if generation != self.generation {
             return Tick::Stale;
         }
         self.charge_running(now);
-        // detlint: allow(D9) — generation matched, so the job that armed this completion still runs
         let run = self.running.take().expect("completion implies a running job");
         debug_assert!(run.remaining <= 1e-9, "completion fired early");
         self.completed += 1;

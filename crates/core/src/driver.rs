@@ -50,6 +50,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<RunMetrics, ConfigError>
 /// # Errors
 ///
 /// Returns a [`ConfigError`] if the configuration is inconsistent.
+#[expect(clippy::expect_used, reason = "the sink was attached unconditionally a few lines up")]
 pub fn run_experiment_traced(
     cfg: &ExperimentConfig,
     capacity: usize,
@@ -69,7 +70,6 @@ pub fn run_experiment_traced(
         }
     };
     debug_assert!(metrics.is_consistent(), "outcome accounting out of balance");
-    // detlint: allow(D9) — the sink was attached unconditionally a few lines up
     let trace = sink.finish().expect("sink was enabled");
     Ok((metrics, trace))
 }

@@ -88,6 +88,11 @@ pub fn effective_jobs(jobs: usize, cells: usize) -> usize {
 /// # Errors
 ///
 /// Propagates the first configuration error in `cfgs` order.
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "workers claim i < cfgs.len() from the shared counter, every i is claimed once, and a worker panic is a bug to surface"
+)]
 pub fn run_many(
     jobs: usize,
     cfgs: &[ExperimentConfig],
@@ -152,6 +157,11 @@ pub struct DeadlineFigure {
 impl DeadlineFigure {
     /// Success series for one system, in client order.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "SystemKind::ALL lists every system and rows hold one value per system"
+    )]
     pub fn series(&self, system: SystemKind) -> Vec<f64> {
         let idx = SystemKind::ALL
             .iter()
@@ -266,6 +276,10 @@ impl CacheTable {
 /// # Errors
 ///
 /// Propagates configuration errors.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "chunks_exact(2) yields pairs and the three update fractions fill cs/ls"
+)]
 pub fn cache_table(clients: &[u16], opts: SweepOptions) -> Result<CacheTable, ConfigError> {
     let mut cfgs = Vec::with_capacity(clients.len() * UPDATE_FRACTIONS.len() * 2);
     for &n in clients {
@@ -334,6 +348,7 @@ impl ResponseTable {
 /// # Errors
 ///
 /// Propagates configuration errors.
+#[expect(clippy::indexing_slicing, reason = "chunks_exact(2) yields exactly two runs per row")]
 pub fn response_table(clients: &[u16], opts: SweepOptions) -> Result<ResponseTable, ConfigError> {
     let mut cfgs = Vec::with_capacity(clients.len() * 2);
     for &n in clients {
@@ -392,6 +407,7 @@ impl MessageTable {
 /// # Errors
 ///
 /// Propagates configuration errors.
+#[expect(clippy::indexing_slicing, reason = "metrics holds the CS and LS runs, in that order")]
 pub fn message_table(clients: u16, opts: SweepOptions) -> Result<MessageTable, ConfigError> {
     let mut cfgs = Vec::with_capacity(2);
     for system in [SystemKind::ClientServer, SystemKind::LoadSharing] {
@@ -469,6 +485,10 @@ impl FaultTable {
 /// # Errors
 ///
 /// Propagates configuration errors.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "chunks_exact(2) yields two runs, one per success/drops/crashes slot"
+)]
 pub fn fault_table(
     clients: u16,
     intensities: &[f64],
@@ -568,6 +588,7 @@ impl RestartTable {
 /// # Errors
 ///
 /// Propagates configuration errors.
+#[expect(clippy::indexing_slicing, reason = "chunks_exact(4) yields exactly four runs per row")]
 pub fn restart_table(
     clients: u16,
     intensities: &[f64],

@@ -49,12 +49,12 @@ impl TextTable {
 
     /// Renders the table with aligned columns and a separator line.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "i < cols == widths.len() via take(cols)")]
     pub fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate().take(cols) {
-                // detlint: allow(D9) — i < cols == widths.len() via take(cols)
                 widths[i] = widths[i].max(cell.len());
             }
         }

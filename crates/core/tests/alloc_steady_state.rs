@@ -8,10 +8,10 @@
 //! slots, inline transaction state, the slab-backed caches, and the
 //! pre-sized lock table must all recycle without touching the allocator.
 
-// `GlobalAlloc` is an unsafe trait; this is the one place in the workspace
-// that needs it, and the implementation only counts calls before forwarding
-// verbatim to the system allocator.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; this counting wrapper forwards verbatim to the system allocator"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

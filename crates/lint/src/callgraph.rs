@@ -1,39 +1,33 @@
-//! Workspace-wide function index and call graph.
+//! Function index and call graph for one crate.
 //!
 //! Built on [`crate::parse`]: every parsed function becomes a node, and
-//! a token scan over each body extracts call sites, resolved through a
-//! deliberately conservative name-resolution scheme:
+//! a token scan over each body extracts call sites, resolved
+//! conservatively:
 //!
-//! * **path calls** — `crate::`/`self::`/`super::` stay in the caller's
-//!   crate; `siteselect_<x>::…` (and a bare workspace crate name, which
-//!   fixtures use) cross into crate `x`; `use` aliases are expanded
-//!   first; `Self::`/`Type::` match impl blocks by self type. Middle
-//!   path segments filter candidates by module path / file name, but a
-//!   filter that would drop *every* candidate is ignored (better a
-//!   spurious edge than a silently missing one — taint is a
-//!   may-analysis).
+//! * **path calls** — bare names and `crate::`/`self::`/`super::` paths
+//!   match functions of that name (same file first); middle segments
+//!   filter by module path or file name, unless that would drop every
+//!   candidate (better a spurious edge than a silently missing one).
+//!   `Self::`/`Type::` match impl blocks by self type. `std::`/`core::`
+//!   /`alloc::` paths, and paths into modules the crate does not have,
+//!   do not resolve.
 //! * **method calls** — `self.name(…)` resolves against the enclosing
 //!   impl's self type; any other receiver resolves only when the method
-//!   name is unique across the whole workspace *and* not a common std
-//!   method name ([`STD_METHODS`]); otherwise the call is unresolved.
-//!   This keeps `.lock()`, `.now()`, `.send()` from aliasing workspace
+//!   name is unique in the crate *and* not a common std method name
+//!   ([`STD_METHODS`]). This keeps `.lock()` and `.send()` from aliasing
 //!   functions they don't call.
 //!
-//! Unresolved calls simply produce no edge: downstream passes
-//! ([`crate::dataflow`], [`crate::locks`]) treat missing edges as
-//! "no propagation", and their *direct* token-level detection covers
-//! the primitives (`Instant::now`, `.send(`) that hide behind std
-//! method names.
+//! Unresolved calls produce no edge; [`crate::locks`] detects the
+//! primitives (`.lock()`, `.send(`) directly at the token level.
 
 use crate::lexer::{lex, Token};
 use crate::parse::{code_tokens, parse_file, FnDef, ParsedFile};
-use std::collections::BTreeMap;
 
 /// One source file, lexed and parsed, ready for graph passes.
 pub struct Unit {
-    /// Workspace-relative path with `/` separators.
+    /// Root-relative path with `/` separators.
     pub path: String,
-    /// Short crate name (`core`, `sim`, `root`, …).
+    /// Short crate name, used in display names.
     pub crate_name: String,
     pub tokens: Vec<Token>,
     pub parsed: ParsedFile,
@@ -43,10 +37,7 @@ impl Unit {
     #[must_use]
     pub fn new(path: String, crate_name: String, src: &str) -> Unit {
         let tokens = lex(src);
-        let parsed = {
-            let code = code_tokens(&tokens);
-            parse_file(&code)
-        };
+        let parsed = parse_file(&code_tokens(&tokens));
         Unit {
             path,
             crate_name,
@@ -86,7 +77,7 @@ pub struct Call {
     pub display: String,
 }
 
-/// The workspace call graph.
+/// The call graph.
 pub struct CallGraph {
     pub fns: Vec<FnNode>,
     /// Outgoing calls, indexed by caller [`FnId`].
@@ -94,20 +85,14 @@ pub struct CallGraph {
 }
 
 /// Keywords that can directly precede `(` without being a call.
-const NON_CALL_KEYWORDS: [&str; 24] = [
+const NON_CALL_KEYWORDS: [&str; 23] = [
     "if", "else", "while", "for", "loop", "match", "return", "in", "as", "move", "mut", "let",
-    "ref", "unsafe", "async", "await", "dyn", "where", "break", "continue", "use", "pub", "box",
-    "yield",
+    "ref", "unsafe", "async", "await", "dyn", "where", "break", "continue", "use", "pub", "fn",
 ];
 
-/// Item keywords: an identifier right after one of these is a
-/// *definition*, not a call.
-const DEF_KEYWORDS: [&str; 8] = [
-    "fn", "struct", "enum", "union", "trait", "impl", "mod", "macro_rules",
-];
-
-/// Common std/ecosystem method names that must never resolve to a
-/// workspace function by mere name uniqueness.
+/// Common std method names that must never resolve to a crate
+/// function by mere name uniqueness.
+#[rustfmt::skip]
 const STD_METHODS: [&str; 78] = [
     "new", "default", "clone", "len", "is_empty", "iter", "iter_mut", "into_iter", "get",
     "get_mut", "insert", "remove", "push", "pop", "extend", "drain", "clear", "contains",
@@ -120,30 +105,13 @@ const STD_METHODS: [&str; 78] = [
     "split", "trim", "parse", "collect", "filter", "fold", "find", "position",
 ];
 
-/// Std path heads: `std::…`, `core::…` (the *std* core, not
-/// `crates/core` — workspace code reaches that via `siteselect_core`).
-const STD_HEADS: [&str; 3] = ["std", "core", "alloc"];
-
 impl CallGraph {
     /// Builds the graph over `units`.
     #[must_use]
-    #[allow(clippy::too_many_lines)] // linear build: index, then one scan per body
     pub fn build(units: &[Unit]) -> CallGraph {
-        // ---- function index ----
         let mut fns: Vec<FnNode> = Vec::new();
-        // (crate, name) → candidates; (crate, self_ty, name) → candidates.
-        let mut by_name: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
-        let mut by_crate_name: BTreeMap<(String, String), Vec<FnId>> = BTreeMap::new();
-        let mut by_ty: BTreeMap<(String, String, String), Vec<FnId>> = BTreeMap::new();
-        // Method-name uniqueness table (has_self only).
-        let mut methods: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
-        let mut crate_names: Vec<&str> = Vec::new();
         for (u, unit) in units.iter().enumerate() {
-            if !crate_names.contains(&unit.crate_name.as_str()) {
-                crate_names.push(&unit.crate_name);
-            }
             for (d, def) in unit.parsed.fns.iter().enumerate() {
-                let id = fns.len();
                 let qualified = match &def.self_ty {
                     Some(ty) => format!("{}::{}::{}", unit.crate_name, ty, def.name),
                     None => format!("{}::{}", unit.crate_name, def.name),
@@ -153,88 +121,119 @@ impl CallGraph {
                     def: d,
                     qualified,
                 });
-                by_name.entry(def.name.clone()).or_default().push(id);
-                by_crate_name
-                    .entry((unit.crate_name.clone(), def.name.clone()))
-                    .or_default()
-                    .push(id);
-                if let Some(ty) = &def.self_ty {
-                    by_ty
-                        .entry((unit.crate_name.clone(), ty.clone(), def.name.clone()))
-                        .or_default()
-                        .push(id);
-                }
-                if def.has_self {
-                    methods.entry(def.name.clone()).or_default().push(id);
-                }
             }
         }
-
-        let index = Index {
-            units,
-            fns: &fns,
-            by_name,
-            by_crate_name,
-            by_ty,
-            methods,
-            crate_names,
-        };
-
-        // ---- call extraction ----
+        let defs: Vec<&FnDef> = fns
+            .iter()
+            .map(|n| &units[n.unit].parsed.fns[n.def])
+            .collect();
         let mut calls: Vec<Vec<Call>> = vec![Vec::new(); fns.len()];
-        let mut fn_ids_by_unit: Vec<Vec<FnId>> = vec![Vec::new(); units.len()];
-        for (id, node) in fns.iter().enumerate() {
-            fn_ids_by_unit[node.unit].push(id);
-        }
-        for (u, unit) in units.iter().enumerate() {
+        for (caller, node) in fns.iter().enumerate() {
+            let unit = &units[node.unit];
+            let def = defs[caller];
+            let Some((s, e)) = def.body else { continue };
             let code = unit.code();
-            let aliases = alias_map(&unit.parsed);
-            for &caller in &fn_ids_by_unit[u] {
-                let def = &unit.parsed.fns[fns[caller].def];
-                let Some((s, e)) = def.body else { continue };
-                for i in s..e {
-                    // Attribute calls in nested fns to the inner fn only.
-                    if unit
-                        .parsed
-                        .fn_containing(i)
-                        .is_none_or(|f| !std::ptr::eq(f, def))
-                    {
-                        continue;
-                    }
-                    let Some(site) = call_site_at(&code, i) else {
-                        continue;
-                    };
-                    let targets = index.resolve(u, def, &aliases, &site);
-                    for callee in targets {
-                        calls[caller].push(Call {
-                            callee,
-                            line: code[i].line,
-                            tok: i,
-                            display: site.display(),
-                        });
-                    }
+            for i in s..e {
+                // Attribute calls in nested fns to the inner fn only.
+                if unit
+                    .parsed
+                    .fn_containing(i)
+                    .is_none_or(|f| !std::ptr::eq(f, def))
+                {
+                    continue;
                 }
+                let Some(site) = call_site_at(&code, i) else {
+                    continue;
+                };
+                let in_unit = |id: &FnId| fns[*id].unit == node.unit;
+                let mentions = |id: FnId, m: &str| {
+                    defs[id].module.iter().any(|seg| seg == m)
+                        || units[fns[id].unit]
+                            .path
+                            .split('/')
+                            .any(|c| c == m || c.strip_suffix(".rs") == Some(m))
+                };
+                let named = |name: &str, ty: Option<&str>| -> Vec<FnId> {
+                    (0..fns.len())
+                        .filter(|&id| {
+                            defs[id].name == name
+                                && ty.is_none_or(|t| defs[id].self_ty.as_deref() == Some(t))
+                        })
+                        .collect()
+                };
+                let targets: Vec<FnId> = match &site {
+                    CallSite::Method {
+                        name,
+                        self_recv: true,
+                    } => def
+                        .self_ty
+                        .as_deref()
+                        .map(|t| named(name, Some(t)))
+                        .unwrap_or_default(),
+                    CallSite::Method {
+                        name,
+                        self_recv: false,
+                    } => {
+                        let cands: Vec<FnId> = named(name, None)
+                            .into_iter()
+                            .filter(|&id| defs[id].has_self)
+                            .collect();
+                        if cands.len() == 1 && !STD_METHODS.contains(&name.as_str()) {
+                            cands
+                        } else {
+                            Vec::new()
+                        }
+                    }
+                    CallSite::Path { segs } => {
+                        let (name, mids) = segs.split_last().unwrap_or((&segs[0], &[]));
+                        let head = segs[0].as_str();
+                        if segs.len() == 1 {
+                            let all = named(name, None);
+                            let here: Vec<FnId> = all.iter().copied().filter(in_unit).collect();
+                            if here.is_empty() {
+                                all
+                            } else {
+                                here
+                            }
+                        } else if matches!(head, "std" | "core" | "alloc") {
+                            Vec::new()
+                        } else if head == "Self" {
+                            def.self_ty
+                                .as_deref()
+                                .map(|t| named(name, Some(t)))
+                                .unwrap_or_default()
+                        } else if head.starts_with(char::is_uppercase) {
+                            named(name, Some(head)) // `Type::assoc(…)`
+                        } else {
+                            let crate_rel = matches!(head, "crate" | "self" | "super");
+                            let mids = if crate_rel { &mids[1..] } else { mids };
+                            let all = named(name, None);
+                            let filtered: Vec<FnId> = all
+                                .iter()
+                                .copied()
+                                .filter(|&id| mids.iter().all(|m| mentions(id, m)))
+                                .collect();
+                            // A local module path must match strictly; a
+                            // crate-relative one keeps every candidate
+                            // when the filter would drop them all.
+                            if filtered.is_empty() && crate_rel {
+                                all
+                            } else {
+                                filtered
+                            }
+                        }
+                    }
+                };
+                calls[caller].extend(targets.into_iter().map(|callee| Call {
+                    callee,
+                    line: code[i].line,
+                    tok: i,
+                    display: site.display(),
+                }));
             }
         }
         CallGraph { fns, calls }
     }
-
-    /// The function definition behind a node.
-    #[must_use]
-    pub fn def<'u>(&self, units: &'u [Unit], id: FnId) -> &'u FnDef {
-        let node = &self.fns[id];
-        &units[node.unit].parsed.fns[node.def]
-    }
-}
-
-/// File-local `use` aliases: alias → full path segments.
-#[must_use]
-pub fn alias_map(parsed: &ParsedFile) -> BTreeMap<&str, &[String]> {
-    let mut out = BTreeMap::new();
-    for u in &parsed.uses {
-        out.insert(u.alias.as_str(), u.path.as_slice());
-    }
-    out
 }
 
 /// A syntactic call site: either a (possibly qualified) path call or a
@@ -251,13 +250,14 @@ impl CallSite {
     fn display(&self) -> String {
         match self {
             CallSite::Path { segs } => segs.join("::"),
-            CallSite::Method { name, self_recv } => {
-                if *self_recv {
-                    format!("self.{name}")
-                } else {
-                    format!(".{name}")
-                }
-            }
+            CallSite::Method {
+                name,
+                self_recv: true,
+            } => format!("self.{name}"),
+            CallSite::Method {
+                name,
+                self_recv: false,
+            } => format!(".{name}"),
         }
     }
 }
@@ -267,385 +267,92 @@ impl CallSite {
 #[must_use]
 pub fn call_site_at(code: &[&Token], i: usize) -> Option<CallSite> {
     let name = code[i].ident()?;
-    if NON_CALL_KEYWORDS.contains(&name) || DEF_KEYWORDS.contains(&name) {
+    let punct = |k: usize, c: char| code.get(k).is_some_and(|t| t.is_punct(c));
+    if NON_CALL_KEYWORDS.contains(&name) {
         return None;
     }
     // `(` must follow, possibly after a turbofish.
     let mut j = i + 1;
-    if punct(code, j, ':') && punct(code, j + 1, ':') && punct(code, j + 2, '<') {
-        j = skip_generics(code, j + 2);
+    if punct(j, ':') && punct(j + 1, ':') && punct(j + 2, '<') {
+        j = crate::parse::skip_group(code, j + 2);
     }
-    if !punct(code, j, '(') {
+    if !punct(j, '(') {
         return None;
     }
-    // A definition, an attribute argument list, or a macro name is not a call.
-    let prev_ident = |k: usize| i.checked_sub(k).and_then(|p| code.get(p)).and_then(|t| t.ident());
-    if prev_ident(1).is_some_and(|p| DEF_KEYWORDS.contains(&p)) {
+    // A definition or an attribute head (`#[cfg(…)]`) is not a call.
+    let prev = |k: usize| i.checked_sub(k).and_then(|p| code.get(p));
+    if prev(1).and_then(|t| t.ident()).is_some_and(|p| {
+        matches!(
+            p,
+            "fn" | "struct" | "enum" | "union" | "trait" | "impl" | "mod"
+        )
+    }) {
         return None;
     }
-    if punct(code, i + 1, '!') {
-        return None; // macro invocation (its arguments are scanned separately)
-    }
-    if i >= 2 && punct(code, i - 1, '[') && punct(code, i - 2, '#') {
-        return None; // `#[cfg(…)]`-style attribute head
-    }
-    if i >= 3 && punct(code, i - 1, '[') && punct(code, i - 2, '!') && punct(code, i - 3, '#') {
+    if prev(1).is_some_and(|t| t.is_punct('['))
+        && prev(2).is_some_and(|t| t.is_punct('#') || t.is_punct('!'))
+    {
         return None;
     }
-    // Method call?
-    if i >= 1 && punct(code, i - 1, '.') {
-        let self_recv = i >= 2
-            && code[i - 2].ident() == Some("self")
-            && !(i >= 3 && punct(code, i - 3, '.'));
+    if i >= 1 && punct(i - 1, '.') {
+        let self_recv =
+            i >= 2 && code[i - 2].ident() == Some("self") && !(i >= 3 && punct(i - 3, '.'));
         return Some(CallSite::Method {
             name: name.to_string(),
             self_recv,
         });
     }
-    // Walk the leading path backwards: `seg :: seg :: name`.
+    // Walk the leading path backwards: `seg :: seg :: name`. A `>::name(`
+    // (qualified generic path) stops the walk.
     let mut segs = vec![name.to_string()];
     let mut k = i;
-    while k >= 3 && punct(code, k - 1, ':') && punct(code, k - 2, ':') {
-        // `>::name(` (qualified generic paths) stops the walk — the head
-        // is a type expression we don't model.
-        let Some(seg) = code[k - 3].ident() else { break };
+    while k >= 3 && punct(k - 1, ':') && punct(k - 2, ':') {
+        let Some(seg) = code[k - 3].ident() else {
+            break;
+        };
         segs.insert(0, seg.to_string());
         k -= 3;
     }
     Some(CallSite::Path { segs })
 }
 
-fn punct(code: &[&Token], i: usize, c: char) -> bool {
-    code.get(i).is_some_and(|t| t.is_punct(c))
-}
-
-/// Skips `<…>` starting at `open` (`code[open]` is `<`), `->`-aware;
-/// returns the index one past the matching `>`.
-fn skip_generics(code: &[&Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut k = open;
-    while k < code.len() {
-        if punct(code, k, '-') && punct(code, k + 1, '>') {
-            k += 2;
-            continue;
-        }
-        if punct(code, k, '<') {
-            depth += 1;
-        } else if punct(code, k, '>') {
-            depth -= 1;
-            if depth == 0 {
-                return k + 1;
-            }
-        }
-        k += 1;
-    }
-    k
-}
-
-/// Immutable resolution context.
-struct Index<'a> {
-    units: &'a [Unit],
-    fns: &'a [FnNode],
-    by_name: BTreeMap<String, Vec<FnId>>,
-    by_crate_name: BTreeMap<(String, String), Vec<FnId>>,
-    by_ty: BTreeMap<(String, String, String), Vec<FnId>>,
-    methods: BTreeMap<String, Vec<FnId>>,
-    crate_names: Vec<&'a str>,
-}
-
-impl Index<'_> {
-    /// Resolves a call site in `unit_idx` (inside `enclosing`) to zero
-    /// or more candidate functions.
-    fn resolve(
-        &self,
-        unit_idx: usize,
-        enclosing: &FnDef,
-        aliases: &BTreeMap<&str, &[String]>,
-        site: &CallSite,
-    ) -> Vec<FnId> {
-        match site {
-            CallSite::Method { name, self_recv } => {
-                self.resolve_method(unit_idx, enclosing, name, *self_recv)
-            }
-            CallSite::Path { segs } => self.resolve_path(unit_idx, enclosing, aliases, segs),
-        }
-    }
-
-    fn resolve_method(
-        &self,
-        unit_idx: usize,
-        enclosing: &FnDef,
-        name: &str,
-        self_recv: bool,
-    ) -> Vec<FnId> {
-        if self_recv {
-            // `self.name(…)` — a method on the enclosing impl's type.
-            if let Some(ty) = &enclosing.self_ty {
-                let crate_name = &self.units[unit_idx].crate_name;
-                if let Some(c) =
-                    self.by_ty
-                        .get(&(crate_name.clone(), ty.clone(), name.to_string()))
-                {
-                    return c.clone();
-                }
-            }
-            return Vec::new();
-        }
-        // Arbitrary receiver: name must be workspace-unique and not a
-        // std method name.
-        if STD_METHODS.contains(&name) {
-            return Vec::new();
-        }
-        match self.methods.get(name) {
-            Some(c) if c.len() == 1 => c.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn resolve_path(
-        &self,
-        unit_idx: usize,
-        enclosing: &FnDef,
-        aliases: &BTreeMap<&str, &[String]>,
-        segs: &[String],
-    ) -> Vec<FnId> {
-        let unit = &self.units[unit_idx];
-        if segs.len() == 1 {
-            let name = &segs[0];
-            // A `use` alias naming a function directly.
-            if let Some(path) = aliases.get(name.as_str()) {
-                if path.last() == Some(name) && path.len() > 1 {
-                    return self.resolve_expanded(unit_idx, enclosing, path);
-                }
-            }
-            // Same-file first (any module), then same-crate.
-            let in_crate = self
-                .by_crate_name
-                .get(&(unit.crate_name.clone(), name.clone()))
-                .cloned()
-                .unwrap_or_default();
-            let in_file: Vec<FnId> = in_crate
-                .iter()
-                .copied()
-                .filter(|&id| self.fns[id].unit == unit_idx)
-                .collect();
-            return if in_file.is_empty() { in_crate } else { in_file };
-        }
-        // Expand a leading alias (`use crate::queue as q; q::push()`).
-        let head = &segs[0];
-        if let Some(prefix) = aliases.get(head.as_str()) {
-            let mut expanded: Vec<String> = prefix.to_vec();
-            expanded.extend(segs[1..].iter().cloned());
-            return self.resolve_expanded(unit_idx, enclosing, &expanded);
-        }
-        self.resolve_expanded(unit_idx, enclosing, segs)
-    }
-
-    /// Resolves a fully-expanded path (aliases already substituted).
-    fn resolve_expanded(
-        &self,
-        unit_idx: usize,
-        enclosing: &FnDef,
-        segs: &[String],
-    ) -> Vec<FnId> {
-        let unit = &self.units[unit_idx];
-        let head = segs[0].as_str();
-        let name = segs.last().expect("non-empty path").clone();
-        let mids = &segs[1..segs.len() - 1];
-        if STD_HEADS.contains(&head) {
-            return Vec::new(); // std / std-core / alloc
-        }
-        if head == "crate" || head == "self" || head == "super" {
-            let cands = self
-                .by_crate_name
-                .get(&(unit.crate_name.clone(), name))
-                .cloned()
-                .unwrap_or_default();
-            return self.filter_mods(cands, mids);
-        }
-        if head == "Self" {
-            if let Some(ty) = &enclosing.self_ty {
-                return self
-                    .by_ty
-                    .get(&(unit.crate_name.clone(), ty.clone(), name))
-                    .cloned()
-                    .unwrap_or_default();
-            }
-            return Vec::new();
-        }
-        // Cross-crate: `siteselect_<x>::…` or a bare workspace crate name.
-        let target_crate = head
-            .strip_prefix("siteselect_")
-            .or_else(|| self.crate_names.iter().copied().find(|c| *c == head));
-        if let Some(c) = target_crate {
-            let cands = self
-                .by_crate_name
-                .get(&(c.to_string(), name))
-                .cloned()
-                .unwrap_or_default();
-            return self.filter_mods(cands, mids);
-        }
-        // `Type::assoc(…)` — match impl blocks by self type, same crate
-        // first, then workspace-unique.
-        if head.chars().next().is_some_and(char::is_uppercase) {
-            if let Some(c) = self
-                .by_ty
-                .get(&(unit.crate_name.clone(), head.to_string(), name.clone()))
-            {
-                return c.clone();
-            }
-            let all: Vec<FnId> = self
-                .by_ty
-                .iter()
-                .filter(|((_, ty, n), _)| ty == head && *n == name)
-                .flat_map(|(_, ids)| ids.iter().copied())
-                .collect();
-            let distinct_crates: std::collections::BTreeSet<&str> = all
-                .iter()
-                .map(|&id| self.units[self.fns[id].unit].crate_name.as_str())
-                .collect();
-            if distinct_crates.len() == 1 {
-                return all;
-            }
-            return Vec::new();
-        }
-        // Lowercase unknown head: a local module path without `self::`
-        // (`queue::push(…)`), or a module path of another crate brought
-        // in by a glob / extern alias. Require a *strict* module match —
-        // an external crate path must not degrade into a name-only hit.
-        let full_mids: Vec<String> = segs[..segs.len() - 1].to_vec();
-        let in_crate = self
-            .by_crate_name
-            .get(&(unit.crate_name.clone(), name.clone()))
-            .cloned()
-            .unwrap_or_default();
-        let local = self.strict_filter_mods(&in_crate, &full_mids);
-        if local.len() == 1 {
-            return local;
-        }
-        let everywhere = self.by_name.get(&name).cloned().unwrap_or_default();
-        let global = self.strict_filter_mods(&everywhere, &full_mids);
-        if global.len() == 1 {
-            global
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// True when `id`'s module path / file path / self type mentions `m`.
-    fn mentions(&self, id: FnId, m: &str) -> bool {
-        let node = &self.fns[id];
-        let unit = &self.units[node.unit];
-        let def = &unit.parsed.fns[node.def];
-        def.module.iter().any(|seg| seg == m)
-            || def.self_ty.as_deref() == Some(m)
-            || unit
-                .path
-                .split('/')
-                .any(|comp| comp == m || comp.strip_suffix(".rs") == Some(m))
-    }
-
-    /// [`Self::filter_mods`] without the empty-result fallback.
-    fn strict_filter_mods(&self, cands: &[FnId], mids: &[String]) -> Vec<FnId> {
-        cands
-            .iter()
-            .copied()
-            .filter(|&id| mids.iter().all(|m| self.mentions(id, m)))
-            .collect()
-    }
-
-    /// Keeps candidates whose module path / file path / self type
-    /// mentions every middle segment; an empty result falls back to the
-    /// unfiltered set (may-analysis: prefer spurious edges to missing
-    /// ones).
-    fn filter_mods(&self, cands: Vec<FnId>, mids: &[String]) -> Vec<FnId> {
-        if mids.is_empty() || cands.is_empty() {
-            return cands;
-        }
-        let filtered = self.strict_filter_mods(&cands, mids);
-        if filtered.is_empty() {
-            cands
-        } else {
-            filtered
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn graph(files: &[(&str, &str, &str)]) -> (Vec<Unit>, CallGraph) {
+    fn edges(files: &[(&str, &str)]) -> Vec<(String, String)> {
         let units: Vec<Unit> = files
             .iter()
-            .map(|(path, krate, src)| Unit::new((*path).into(), (*krate).into(), src))
+            .map(|(path, src)| Unit::new((*path).into(), "cluster".into(), src))
             .collect();
         let g = CallGraph::build(&units);
-        (units, g)
-    }
-
-    fn edges(g: &CallGraph) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for (caller, calls) in g.calls.iter().enumerate() {
             for c in calls {
-                out.push((g.fns[caller].qualified.clone(), g.fns[c.callee].qualified.clone()));
+                out.push((
+                    g.fns[caller].qualified.clone(),
+                    g.fns[c.callee].qualified.clone(),
+                ));
             }
         }
         out
     }
 
-    #[test]
-    fn bare_and_crate_qualified_calls_resolve_in_crate() {
-        let (_, g) = graph(&[(
-            "crates/core/src/lib.rs",
-            "core",
-            r"
-fn helper() {}
-fn a() { helper(); }
-fn b() { crate::helper(); }
-",
-        )]);
-        let e = edges(&g);
-        assert!(e.contains(&("core::a".into(), "core::helper".into())), "{e:?}");
-        assert!(e.contains(&("core::b".into(), "core::helper".into())), "{e:?}");
+    fn pair(a: &str, b: &str) -> (String, String) {
+        (format!("cluster::{a}"), format!("cluster::{b}"))
     }
 
     #[test]
-    fn cross_crate_paths_and_use_aliases_resolve() {
-        let (_, g) = graph(&[
-            (
-                "crates/bench/src/helpers.rs",
-                "bench",
-                "pub fn stamp_micros() -> u64 { 0 }",
-            ),
-            (
-                "crates/core/src/engine.rs",
-                "core",
-                r"
-use siteselect_bench::helpers::stamp_micros;
-fn direct() { siteselect_bench::helpers::stamp_micros(); }
-fn via_use() { stamp_micros(); }
-fn bare_crate_name() { helpers::stamp_micros(); }
-",
-            ),
-        ]);
-        let e = edges(&g);
-        for caller in ["direct", "via_use", "bare_crate_name"] {
-            assert!(
-                e.contains(&(format!("core::{caller}"), "bench::stamp_micros".into())),
-                "{caller}: {e:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn self_method_calls_resolve_within_the_impl_type() {
-        let (_, g) = graph(&[(
+    fn paths_self_methods_and_type_assoc_calls_resolve() {
+        let e = edges(&[(
             "crates/cluster/src/server.rs",
-            "cluster",
-            r"
+            r#"
+fn helper() {}
+fn a() { helper(); crate::helper(); wrap::<u32>(1); std::mem::drop(1); println!("{}", 1); }
+fn wrap<T>(x: T) -> T { x }
 struct Server;
 impl Server {
+    fn with_hint(n: usize) -> Server { Server }
     fn acquire(&self) { self.issue_callbacks(); }
     fn issue_callbacks(&self) {}
 }
@@ -653,133 +360,60 @@ struct Other;
 impl Other {
     fn issue_callbacks(&self) {}
 }
-",
+fn mk() { Server::with_hint(4); }
+"#,
         )]);
-        let e = edges(&g);
-        assert_eq!(
-            e,
-            vec![(
-                "cluster::Server::acquire".into(),
-                "cluster::Server::issue_callbacks".into()
-            )]
-        );
+        for want in [
+            pair("a", "helper"),
+            pair("a", "wrap"),
+            pair("Server::acquire", "Server::issue_callbacks"),
+            pair("mk", "Server::with_hint"),
+        ] {
+            assert!(e.contains(&want), "{want:?} missing from {e:?}");
+        }
+        assert_eq!(e.len(), 5, "{e:?}"); // `helper` resolves from both call forms
     }
 
     #[test]
     fn std_method_names_never_resolve_by_uniqueness() {
-        // `now` exists exactly once as a workspace method, but `.now(`
-        // must stay unresolved — wall-clock `Instant::now` receivers
-        // would otherwise alias the sim clock.
-        let (_, g) = graph(&[
+        // `now` exists exactly once as a crate method, but `.now(` must
+        // stay unresolved — wall-clock `Instant::now` receivers would
+        // otherwise alias it. A project-specific unique name does resolve.
+        let e = edges(&[
             (
-                "crates/sim/src/clock.rs",
-                "sim",
-                "struct Clock; impl Clock { fn now(&self) -> u64 { 0 } }",
+                "crates/cluster/src/clock.rs",
+                "struct Clock; impl Clock { fn now(&self) -> u64 { 0 } fn advance_virtual(&self) {} }",
             ),
-            (
-                "crates/core/src/engine.rs",
-                "core",
-                "fn f(c: &Clock) { c.now(); }",
-            ),
+            ("crates/cluster/src/engine.rs", "fn f(c: &Clock) { c.now(); c.advance_virtual(); }"),
         ]);
-        assert!(edges(&g).is_empty(), "{:?}", edges(&g));
-        // A project-specific unique method name does resolve.
-        let (_, g2) = graph(&[
-            (
-                "crates/sim/src/clock.rs",
-                "sim",
-                "struct Clock; impl Clock { fn advance_virtual(&self) {} }",
-            ),
-            (
-                "crates/core/src/engine.rs",
-                "core",
-                "fn f(c: &Clock) { c.advance_virtual(); }",
-            ),
-        ]);
-        let e = edges(&g2);
-        assert_eq!(
-            e,
-            vec![("core::f".into(), "sim::Clock::advance_virtual".into())]
-        );
+        assert_eq!(e, vec![pair("f", "Clock::advance_virtual")]);
     }
 
     #[test]
-    fn type_assoc_calls_and_turbofish_resolve() {
-        let (_, g) = graph(&[(
-            "crates/core/src/q.rs",
-            "core",
-            r"
-struct Queue;
-impl Queue {
-    fn with_hint(n: usize) -> Queue { Queue }
-}
-fn mk() { Queue::with_hint(4); }
-fn turbo() { wrap::<u32>(1); }
-fn wrap<T>(x: T) -> T { x }
-",
-        )]);
-        let e = edges(&g);
-        assert!(e.contains(&("core::mk".into(), "core::Queue::with_hint".into())), "{e:?}");
-        assert!(e.contains(&("core::turbo".into(), "core::wrap".into())), "{e:?}");
-    }
-
-    #[test]
-    fn std_paths_macros_and_attributes_are_not_edges() {
-        let (_, g) = graph(&[(
-            "crates/core/src/q.rs",
-            "core",
-            r#"
-fn push() {}
-fn f() {
-    std::mem::drop(1);
-    core::fmt::format(format_args!("x"));
-    println!("not a call to push {}", 1);
-    #[allow(dead_code)]
-    let v: Vec<u32> = Vec::new();
-    matches!(1, 1);
-}
-"#,
-        )]);
-        assert!(edges(&g).is_empty(), "{:?}", edges(&g));
-    }
-
-    #[test]
-    fn nested_fn_calls_attribute_to_the_inner_fn() {
-        let (_, g) = graph(&[(
-            "crates/core/src/q.rs",
-            "core",
+    fn nested_fns_and_module_segments() {
+        let e = edges(&[(
+            "crates/cluster/src/lib.rs",
             r"
 fn target() {}
 fn outer() {
     fn inner() { target(); }
     inner();
 }
-",
-        )]);
-        let e = edges(&g);
-        assert!(e.contains(&("core::inner".into(), "core::target".into())), "{e:?}");
-        assert!(e.contains(&("core::outer".into(), "core::inner".into())), "{e:?}");
-        assert!(
-            !e.contains(&("core::outer".into(), "core::target".into())),
-            "outer must not absorb inner's calls: {e:?}"
-        );
-    }
-
-    #[test]
-    fn module_segments_filter_same_name_fns() {
-        let (units, g) = graph(&[(
-            "crates/core/src/lib.rs",
-            "core",
-            r"
 mod wheel { pub fn push() {} }
 mod heap { pub fn push() {} }
 fn f() { crate::wheel::push(); }
 ",
         )]);
-        let caller = g.fns.iter().position(|f| f.qualified == "core::f").unwrap();
-        let calls = &g.calls[caller];
-        assert_eq!(calls.len(), 1, "{:?}", edges(&g));
-        let callee_def = g.def(&units, calls[0].callee);
-        assert_eq!(callee_def.module, vec!["wheel"], "picked the wrong push");
+        assert!(e.contains(&pair("inner", "target")), "{e:?}");
+        assert!(e.contains(&pair("outer", "inner")), "{e:?}");
+        assert!(
+            !e.contains(&pair("outer", "target")),
+            "outer must not absorb inner's calls: {e:?}"
+        );
+        assert_eq!(
+            e.iter().filter(|(from, _)| from == "cluster::f").count(),
+            1,
+            "{e:?}"
+        );
     }
 }

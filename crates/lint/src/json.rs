@@ -1,5 +1,5 @@
-//! A minimal JSON reader/writer — just enough for
-//! `detlint.baseline.json` and `detlint check --json`, keeping the
+//! A minimal JSON reader/writer — just enough for the tests that read
+//! clippy's JSON diagnostics and the benchmark's reports, keeping the
 //! crate dependency-free.
 //!
 //! The writer is deterministic by construction: objects are backed by
@@ -43,8 +43,11 @@ impl Value {
     #[must_use]
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            // exact non-negative integer: the guard makes the cast lossless
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "exact non-negative integer: the guard makes the cast lossless"
+            )]
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
             _ => None,
         }

@@ -18,7 +18,7 @@
 //! `self.0.lock()` is ignored. While any guard is held:
 //!
 //! * acquiring another lock — directly or transitively through a call
-//!   (summaries reach fixpoint over the workspace call graph) — adds an
+//!   (summaries reach fixpoint over the crate call graph) — adds an
 //!   ordering edge `held → acquired`; a cycle in the resulting graph is
 //!   a D7 violation reported at the edge that closes it.
 //! * a direct `.send(…)` or zero-argument `.join()` (thread-handle
@@ -27,15 +27,12 @@
 //!   the send can block under backpressure and the join can wait on a
 //!   thread that needs the held lock.
 //!
-//! Only units the workspace layer marks *active* (per `detlint.toml`,
-//! the `cluster` crate) are scanned for lock sites and violations;
-//! send/join facts are still seeded workspace-wide so a held guard
-//! crossing a crate boundary into sending code is caught.
+//! Only units marked *active* are scanned for lock sites and
+//! violations; send/join facts are seeded in every unit given.
 
 use crate::callgraph::{Call, CallGraph, Unit};
-use crate::flow::statement_start;
 use crate::lexer::Token;
-use crate::rules::{allowed_by_line, RuleId, Violation};
+use crate::{allowed_by_line, RuleId, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One acquired-while-held edge, with the site that created it.
@@ -346,6 +343,30 @@ fn guard_scope_end(code: &[&Token], i: usize, body_s: usize, body_e: usize) -> u
         Some("if" | "while" | "match" | "for") => construct_block_end(code, i, body_e),
         _ => temporary_end(code, i, body_e),
     }
+}
+
+/// Backward scan to the start of the statement containing `site`.
+/// Brackets/parens are balanced; a `{`, `}`, or `;` at depth 0 is a
+/// statement boundary (`}` ends a preceding block statement — braces
+/// nested inside parens are ignored by the depth rule and stay inside).
+fn statement_start(code: &[&Token], site: usize, body_s: usize) -> usize {
+    let mut depth = 0i32;
+    let mut j = site;
+    while j > body_s {
+        let t = code[j - 1];
+        if t.is_punct(')') || t.is_punct(']') {
+            depth += 1;
+        } else if t.is_punct('(') || t.is_punct('[') {
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+        } else if (t.is_punct(';') || t.is_punct('{') || t.is_punct('}')) && depth == 0 {
+            break;
+        }
+        j -= 1;
+    }
+    j
 }
 
 /// The pattern ident of `let [mut] NAME = …`, if it is a simple one.

@@ -1,46 +1,35 @@
-//! `detlint` — CLI for the determinism & safety analyzer.
+//! `detlint` — CLI for the cluster lock-order analysis.
 //!
-//! Exit codes: 0 clean, 1 violations found (or, with `--ratchet`, a
-//! stale baseline), 2 usage/config/io error.
+//! Exit codes: 0 clean, 1 violations found, 2 usage or io error.
 
-use siteselect_lint::baseline::Baseline;
-use siteselect_lint::workspace::load_baseline;
-use siteselect_lint::{check_paths, check_workspace, load_config, Report, RuleId};
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary: stdout/stderr are its interface"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-detlint — determinism & safety analyzer for the siteselect workspace
+detlint — lock-order analysis for the siteselect cluster runtime
 
 USAGE:
-    detlint check --workspace [--json] [--ratchet] [--no-baseline] [--root <dir>]
-    detlint check [--root <dir>] <file.rs>...
-    detlint baseline [--root <dir>]
-    detlint rules [--toml]
+    detlint check [--workspace] [--root <dir>]
 
-`check --workspace` runs every pass: the per-file token rules, the
-interprocedural D1/D3 dataflow, the D7/D8 lock-order analysis, and the
-D9 panic audit. Targeted `check <file>` runs the per-file passes only.
-`baseline` regenerates detlint.baseline.json, the ratchet that absorbs
-the accepted D9 surface; `--ratchet` additionally fails when that file
-is stale (counts shrank without regenerating). `--json` prints the
-report as deterministic JSON on stdout.
+Runs D7 (lock acquisition cycles) and D8 (a mutex guard held across a
+channel send or thread join) over crates/cluster/src. The rest of the
+determinism contract is clippy's: `cargo clippy --workspace --all-targets`.
 
-Violations print as `file:line: detlint[Dn]: message`. Deliberate ones
-are suppressed in place with `// detlint: allow(Dn) — <reason>` on the
-offending line or the line above; the reason is mandatory. Per-module
-allowlists live in detlint.toml at the workspace root.";
+Violations print as `file:line: detlint[Dn]: message`. A deliberate one
+is suppressed in place with `// detlint: allow(Dn) — <reason>` on the
+offending line or the line above; the reason is mandatory.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("detlint: {msg}");
             ExitCode::from(2)
@@ -49,219 +38,44 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
-    match args.first().map(String::as_str) {
-        Some("rules") => {
-            if args.get(1).map(String::as_str) == Some("--toml") {
-                print!("{}", siteselect_lint::rules::toml_rule_table());
-            } else {
-                print_rules();
-            }
-            Ok(true)
-        }
-        Some("check") => check(&args[1..]),
-        Some("baseline") => regenerate_baseline(&args[1..]),
+    let mut it = args.iter().map(String::as_str);
+    match it.next() {
+        Some("check") => {}
         Some("--help" | "-h") | None => {
             println!("{USAGE}");
-            Ok(true)
+            return Ok(true);
         }
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        Some(other) => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
-}
-
-fn print_rules() {
-    println!("{:<4} {:<20} summary", "id", "name");
-    for rule in RuleId::ALL {
-        println!(
-            "{:<4} {:<20} {}{}",
-            rule.id(),
-            rule.name(),
-            rule.summary(),
-            if rule.meta().baselined { " [baselined]" } else { "" },
-        );
-    }
-}
-
-fn check(args: &[String]) -> Result<bool, String> {
     let mut root = default_root();
-    let mut whole_workspace = false;
-    let mut json = false;
-    let mut ratchet = false;
-    let mut use_baseline = true;
-    let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workspace" => whole_workspace = true,
-            "--json" => json = true,
-            "--ratchet" => ratchet = true,
-            "--no-baseline" => use_baseline = false,
-            "--root" => {
-                root = PathBuf::from(
-                    it.next().ok_or("--root needs a directory argument")?,
-                );
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag `{flag}`\n\n{USAGE}"));
-            }
-            file => files.push(file.to_string()),
-        }
-    }
-    if !whole_workspace && files.is_empty() {
-        return Err(format!("nothing to check\n\n{USAGE}"));
-    }
-    let cfg = load_config(&root)?;
-    let baseline = if use_baseline { load_baseline(&root)? } else { None };
-    let report = if whole_workspace {
-        check_workspace(&root, &cfg, baseline.as_ref()).map_err(|e| e.to_string())?
-    } else {
-        check_paths(&root, &files, &cfg, baseline.as_ref()).map_err(|e| e.to_string())?
-    };
-    let stale_fails = ratchet && !report.stale.is_empty();
-    if json {
-        print!("{}", render_json(&report));
-        return Ok(report.is_clean() && !stale_fails);
-    }
-    for v in &report.violations {
-        println!("{v}");
-    }
-    for s in &report.stale {
-        println!(
-            "detlint: stale baseline: {} {} accepts {} finding{} but {} remain{} — run `detlint baseline`",
-            s.file,
-            s.rule.id(),
-            s.accepted,
-            if s.accepted == 1 { "" } else { "s" },
-            s.actual,
-            if s.actual == 1 { "s" } else { "" },
-        );
-    }
-    if report.is_clean() && !stale_fails {
-        let absorbed = if report.absorbed > 0 {
-            format!(", {} baselined", report.absorbed)
-        } else {
-            String::new()
-        };
-        println!(
-            "detlint: clean ({} files, {} suppression{}{absorbed})",
-            report.files_checked,
-            report.suppressions,
-            if report.suppressions == 1 { "" } else { "s" }
-        );
-        Ok(true)
-    } else {
-        if !report.violations.is_empty() {
-            println!(
-                "detlint: {} violation{} in {} files",
-                report.violations.len(),
-                if report.violations.len() == 1 { "" } else { "s" },
-                report.files_checked
-            );
-        }
-        Ok(false)
-    }
-}
-
-/// Deterministic JSON rendering of a report: same findings, same bytes.
-fn render_json(report: &Report) -> String {
-    use siteselect_lint::json::quote;
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"files\": {},\n", report.files_checked));
-    out.push_str(&format!("  \"suppressions\": {},\n", report.suppressions));
-    out.push_str(&format!("  \"absorbed\": {},\n", report.absorbed));
-    out.push_str("  \"violations\": [");
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-            quote(&v.file),
-            v.line,
-            quote(v.rule.id()),
-            quote(&v.message),
-        ));
-    }
-    if report.violations.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-    out.push_str("  \"stale\": [");
-    for (i, s) in report.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": {}, \"rule\": {}, \"accepted\": {}, \"actual\": {}}}",
-            quote(&s.file),
-            quote(s.rule.id()),
-            s.accepted,
-            s.actual,
-        ));
-    }
-    if report.stale.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// `detlint baseline`: regenerate `detlint.baseline.json` from the
-/// current findings so the accepted surface matches reality exactly.
-fn regenerate_baseline(args: &[String]) -> Result<bool, String> {
-    let mut root = default_root();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                root = PathBuf::from(
-                    it.next().ok_or("--root needs a directory argument")?,
-                );
-            }
+        match arg {
+            "--workspace" => {} // the only scope; kept for the CI spelling
+            "--root" => root = PathBuf::from(it.next().ok_or("--root needs a directory argument")?),
             other => return Err(format!("unknown argument `{other}`\n\n{USAGE}")),
         }
     }
-    let cfg = load_config(&root)?;
-    let report = check_workspace(&root, &cfg, None).map_err(|e| e.to_string())?;
-    let baseline = Baseline::from_violations(&report.violations);
-    let entries: usize = baseline.counts.values().map(|m| m.values().sum::<usize>()).sum();
-    let path = root.join("detlint.baseline.json");
-    std::fs::write(&path, baseline.render()).map_err(|e| format!("{}: {e}", path.display()))?;
-    println!(
-        "detlint: baseline written to {} ({} accepted finding{} in {} file{})",
-        path.display(),
-        entries,
-        if entries == 1 { "" } else { "s" },
-        baseline.counts.len(),
-        if baseline.counts.len() == 1 { "" } else { "s" },
-    );
-    // Non-baselined findings still fail the run so `baseline` cannot
-    // be used to paper over real violations.
-    let hard: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| !v.rule.meta().baselined)
-        .collect();
-    for v in &hard {
+    let report =
+        siteselect_lint::check_workspace(&root).map_err(|e| format!("{}: {e}", root.display()))?;
+    for v in &report.violations {
         println!("{v}");
     }
-    Ok(hard.is_empty())
+    let n = report.violations.len();
+    let verdict = if n == 0 {
+        "clean".into()
+    } else {
+        format!("{n} violation(s)")
+    };
+    println!("detlint: {verdict} ({} files)", report.files_checked);
+    Ok(n == 0)
 }
 
-/// The workspace root: walk up from the current directory to the first
-/// one containing `detlint.toml` (so the tool works from any subdir),
-/// falling back to the current directory.
+/// The workspace root: the nearest ancestor of the current directory
+/// that contains the cluster crate, falling back to the current one.
 fn default_root() -> PathBuf {
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut dir = cwd.clone();
-    loop {
-        if dir.join("detlint.toml").is_file() {
-            return dir;
-        }
-        if !dir.pop() {
-            return cwd;
-        }
-    }
+    let cwd = std::env::current_dir().unwrap_or_default();
+    let root = cwd
+        .ancestors()
+        .find(|d| d.join(siteselect_lint::SCOPE).is_dir());
+    root.unwrap_or(&cwd).to_path_buf()
 }

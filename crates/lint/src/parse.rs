@@ -1,21 +1,18 @@
-//! Recursive-descent item/signature parser on top of [`crate::lexer`].
+//! Item scanner on top of [`crate::lexer`].
 //!
-//! This is deliberately *not* a full Rust parser: it recovers exactly
-//! the structure the v2 passes need — which functions exist (with their
-//! body token spans), which `impl`/`trait` type each method belongs to,
-//! the inline module path, `use` aliases good enough to resolve
-//! intra-workspace calls, and which items are `#[cfg(test)]`-only. The
-//! grammar subset covers everything in this repository; anything the
-//! parser cannot classify is recorded as a [`ParseError`] (a
-//! workspace-wide smoke test asserts the count stays zero) and skipped
-//! with panic-free recovery, so a new syntax form degrades analysis
-//! coverage instead of crashing the linter.
+//! This is deliberately *not* a Rust parser. One pass over the code
+//! tokens keeps a stack of open braces, each tagged with what it opened
+//! (`mod`, `impl`/`trait`, `fn` body, or anything else), and records
+//! every `fn` definition with what the lock pass needs: its body span,
+//! the `impl`/`trait` type it is a method of, its inline module path,
+//! whether it has a `self` receiver, and whether it is
+//! `#[cfg(test)]`/`#[test]`-only. Unbalanced braces are recorded as a
+//! parse error (a test asserts the cluster crate has none).
 //!
 //! All spans are indices into the **code token** vector (comments
-//! stripped, see [`code_tokens`]) — the same view the rule passes walk,
-//! so a body range can be sliced directly.
+//! stripped, see [`code_tokens`]).
 
-use crate::lexer::{TokKind, Token};
+use crate::lexer::Token;
 
 /// Filters a lexed stream down to code tokens (the view every pass
 /// indexes into).
@@ -30,46 +27,25 @@ pub struct FnDef {
     pub name: String,
     /// The `impl`/`trait` type this is a method of, if any.
     pub self_ty: Option<String>,
-    /// Inline `mod` path within the file (file-level module path is
-    /// derived from the file path by the workspace layer).
+    /// Inline `mod` path within the file.
     pub module: Vec<String>,
     pub line: u32,
-    /// Body span in code-token indices: `(first_token_inside,
-    /// one_past_closing_brace - 1)`, i.e. `code[start..end]` is the body
+    /// Body span in code-token indices: `code[start..end]` is the body
     /// without its braces. `None` for bodyless trait/extern decls.
     pub body: Option<(usize, usize)>,
-    /// Declared under `#[cfg(test)]` / `#[test]` — exempt from the
-    /// panic audit and the lock pass.
+    /// Declared under `#[cfg(test)]` / `#[test]` — exempt from the lock
+    /// pass.
     pub test_only: bool,
     /// Has a `self` receiver (method-call resolution candidates).
     pub has_self: bool,
 }
 
-/// One resolved `use` alias: `alias` names `path` in this file.
-#[derive(Debug, Clone)]
-pub struct UseAlias {
-    pub alias: String,
-    pub path: Vec<String>,
-}
-
-/// A construct the parser could not classify.
-#[derive(Debug, Clone)]
-pub struct ParseError {
-    pub line: u32,
-    pub message: String,
-}
-
-/// Parse result for one file.
+/// Scan result for one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub fns: Vec<FnDef>,
-    pub uses: Vec<UseAlias>,
-    /// `mod name;` declarations (module tree edges to sibling files).
-    pub mod_decls: Vec<String>,
-    /// Code-token spans of `#[cfg(test)]` subtrees (mod bodies and fn
-    /// bodies), for passes that skip test-only code wholesale.
-    pub test_spans: Vec<(usize, usize)>,
-    pub errors: Vec<ParseError>,
+    /// Unbalanced braces, as `line: message`.
+    pub errors: Vec<String>,
 }
 
 impl ParsedFile {
@@ -82,692 +58,195 @@ impl ParsedFile {
             .filter(|f| f.body.is_some_and(|(s, e)| s <= i && i < e))
             .min_by_key(|f| f.body.map_or(usize::MAX, |(s, e)| e - s))
     }
-
-    /// True when code-token index `i` lies in test-only code.
-    #[must_use]
-    pub fn in_test_span(&self, i: usize) -> bool {
-        self.test_spans.iter().any(|&(s, e)| s <= i && i < e)
-    }
 }
 
-/// Parses the code-token view of one file.
+/// What an open brace belongs to.
+#[derive(Debug, Clone)]
+enum Scope {
+    Mod(String),
+    /// An `impl`/`trait` body, with its self type.
+    Impl(String),
+    /// A fn body, by index into `ParsedFile::fns`.
+    Fn(usize),
+    Other,
+}
+
+/// Scans the code-token view of one file.
 #[must_use]
 pub fn parse_file(code: &[&Token]) -> ParsedFile {
-    let mut p = Parser {
-        code,
-        i: 0,
-        out: ParsedFile::default(),
-    };
-    let end = code.len();
-    let mut module = Vec::new();
-    p.items(&mut module, None, false, end);
-    p.out
-}
-
-/// Attributes observed in front of an item.
-#[derive(Debug, Default, Clone, Copy)]
-struct Attrs {
-    cfg_test: bool,
-    is_test: bool,
-}
-
-struct Parser<'a> {
-    code: &'a [&'a Token],
-    i: usize,
-    out: ParsedFile,
-}
-
-/// Keywords that introduce items the parser understands.
-const MODIFIERS: [&str; 4] = ["pub", "unsafe", "async", "default"];
-
-impl<'a> Parser<'a> {
-    fn peek(&self, ahead: usize) -> Option<&'a Token> {
-        self.code.get(self.i + ahead).copied()
-    }
-
-    fn ident_at(&self, ahead: usize) -> Option<&'a str> {
-        self.peek(ahead).and_then(Token::ident)
-    }
-
-    fn punct_at(&self, ahead: usize, c: char) -> bool {
-        self.peek(ahead).is_some_and(|t| t.is_punct(c))
-    }
-
-    fn line(&self) -> u32 {
-        self.peek(0).map_or(0, |t| t.line)
-    }
-
-    fn error(&mut self, message: String) {
-        let line = self.line();
-        self.out.errors.push(ParseError { line, message });
-    }
-
-    /// Parses items until `end` (exclusive) or a stray `}`.
-    fn items(&mut self, module: &mut Vec<String>, self_ty: Option<&str>, test_only: bool, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, '}') {
-                return; // caller consumes it
-            }
-            self.item(module, self_ty, test_only, end);
+    let mut out = ParsedFile::default();
+    // Open braces: (scope, test-only).
+    let mut stack: Vec<(Scope, bool)> = Vec::new();
+    // Scope and test flag waiting for the next `{` (an item header was
+    // just read), and a test attribute waiting for its item.
+    let mut pending: Option<(Scope, bool)> = None;
+    let mut test_attr = false;
+    let ident = |k: usize| code.get(k).and_then(|t| t.ident());
+    let punct = |k: usize, c: char| code.get(k).is_some_and(|t| t.is_punct(c));
+    let mut i = 0;
+    while i < code.len() {
+        let in_test = stack.last().is_some_and(|s| s.1);
+        if punct(i, '#') && (punct(i + 1, '[') || punct(i + 1, '!') && punct(i + 2, '[')) {
+            let open = if punct(i + 1, '[') { i + 1 } else { i + 2 };
+            let close = skip_group(code, open);
+            let words: Vec<&str> = code[open..close].iter().filter_map(|t| t.ident()).collect();
+            test_attr |=
+                words == ["test"] || words.first() == Some(&"cfg") && words.contains(&"test");
+            i = close;
+            continue;
         }
-    }
-
-    /// Parses one item, with recovery on anything unrecognized.
-    #[allow(clippy::too_many_lines)] // one arm per item kind; splitting obscures the grammar
-    fn item(&mut self, module: &mut Vec<String>, self_ty: Option<&str>, test_only: bool, end: usize) {
-        let attrs = self.attrs();
-        // Visibility / item modifiers. `const` is special: `const fn` is
-        // a modifier use, `const NAME` an item.
-        let mut saw_fn_modifiers = false;
-        loop {
-            match self.ident_at(0) {
-                Some(m) if MODIFIERS.contains(&m) => {
-                    self.i += 1;
-                    if m == "pub" && self.punct_at(0, '(') {
-                        self.skip_balanced('(', ')');
+        if punct(i, '{') {
+            let scope = pending.take().unwrap_or((Scope::Other, in_test));
+            stack.push(scope);
+        } else if punct(i, '}') {
+            match stack.pop() {
+                Some((Scope::Fn(f), _)) => {
+                    if let Some(body) = out.fns[f].body.as_mut() {
+                        body.1 = i;
                     }
-                    saw_fn_modifiers = true;
                 }
-                Some("const") if matches!(self.ident_at(1), Some("fn" | "unsafe" | "extern")) => {
-                    self.i += 1;
-                    saw_fn_modifiers = true;
-                }
-                Some("extern") if self.peek(1).is_some_and(|t| t.kind == TokKind::Str)
-                    && self.ident_at(2) == Some("fn") =>
-                {
-                    self.i += 2; // `extern "C"` fn-qualifier
-                    saw_fn_modifiers = true;
-                }
-                _ => break,
+                Some(_) => {}
+                None => out
+                    .errors
+                    .push(format!("{}: unbalanced `}}`", code[i].line)),
             }
+        } else if punct(i, ';') {
+            pending = None;
+            test_attr = false;
         }
-        let Some(kw) = self.ident_at(0) else {
-            // Stray punctuation at item position (e.g. a leftover `;`).
-            if self.punct_at(0, ';') {
-                self.i += 1;
-                return;
+        let item = ident(i).is_some_and(|w| ITEM_KEYWORDS.contains(&w));
+        let test = in_test || test_attr && item;
+        test_attr &= !item;
+        match ident(i) {
+            Some("mod") if ident(i + 1).is_some() && punct(i + 2, '{') => {
+                pending = Some((
+                    Scope::Mod(code[i + 1].ident().unwrap_or_default().into()),
+                    test,
+                ));
             }
-            self.error(format!(
-                "expected an item, found `{:?}`",
-                self.peek(0).map(|t| &t.kind)
-            ));
-            self.recover(end);
-            return;
-        };
-        match kw {
-            "use" => self.use_item(end),
-            "mod" => self.mod_item(module, test_only || attrs.cfg_test, end),
-            "fn" => self.fn_item(module, self_ty, test_only, attrs, end),
-            "impl" => self.impl_item(module, test_only || attrs.cfg_test, end),
-            "trait" => self.trait_item(module, test_only || attrs.cfg_test, end),
-            "struct" | "enum" | "union" => {
-                self.i += 1;
-                // Name, generics, optional where clause, then `{…}` /
-                // `(…);` / `;`.
-                self.skip_to_item_body_or_semi(end);
+            Some("impl" | "trait") if !punct(i.wrapping_sub(1), '<') && !punct(i + 1, '(') => {
+                let ty = self_type(code, i);
+                pending = Some((Scope::Impl(ty), test));
             }
-            "const" | "static" | "type" => {
-                self.i += 1;
-                self.skip_to_semi(end);
-            }
-            "extern" => {
-                // `extern crate x;` or an `extern "C" { … }` block.
-                self.i += 1;
-                if self.peek(0).is_some_and(|t| t.kind == TokKind::Str) {
-                    self.i += 1;
-                }
-                if self.punct_at(0, '{') {
-                    self.skip_balanced('{', '}');
-                } else {
-                    self.skip_to_semi(end);
-                }
-            }
-            "macro_rules" => {
-                self.i += 1; // macro_rules
-                if self.punct_at(0, '!') {
-                    self.i += 1;
-                }
-                self.i += 1; // the macro's name
-                self.skip_macro_body(end);
-            }
-            name => {
-                // Item-position macro invocation: `name!(…);` /
-                // `name! { … }` (e.g. `thread_local!`), possibly
-                // path-qualified.
-                let start = self.i;
-                while self.ident_at(0).is_some() && self.punct_at(1, ':') && self.punct_at(2, ':') {
-                    self.i += 3;
-                }
-                if self.ident_at(0).is_some() && self.punct_at(1, '!') {
-                    self.i += 2;
-                    self.skip_macro_body(end);
-                    if self.punct_at(0, ';') {
-                        self.i += 1;
-                    }
-                    return;
-                }
-                self.i = start;
-                let _ = saw_fn_modifiers;
-                self.error(format!("unrecognized item starting at `{name}`"));
-                self.recover(end);
-            }
-        }
-    }
-
-    /// Collects `#[…]` / `#![…]` attributes in front of an item.
-    fn attrs(&mut self) -> Attrs {
-        let mut attrs = Attrs::default();
-        loop {
-            if !self.punct_at(0, '#') {
-                return attrs;
-            }
-            let mut j = 1;
-            if self.punct_at(j, '!') {
-                j += 1;
-            }
-            if !self.punct_at(j, '[') {
-                return attrs;
-            }
-            self.i += j; // at `[`
-            let open = self.i;
-            self.skip_balanced('[', ']');
-            // Scan the attribute's tokens for cfg(test) / #[test].
-            let inner: Vec<&str> = self.code[open..self.i]
-                .iter()
-                .filter_map(|t| t.ident())
-                .collect();
-            if inner.first() == Some(&"cfg") && inner.contains(&"test") {
-                attrs.cfg_test = true;
-            }
-            if inner == ["test"] {
-                attrs.is_test = true;
-            }
-        }
-    }
-
-    /// `use tree;` — records every alias the tree introduces.
-    fn use_item(&mut self, end: usize) {
-        self.i += 1; // use
-        let start = self.i;
-        let mut depth = 0i32;
-        while self.i < end {
-            if self.punct_at(0, '{') {
-                depth += 1;
-            } else if self.punct_at(0, '}') {
-                depth -= 1;
-            } else if self.punct_at(0, ';') && depth == 0 {
-                break;
-            }
-            self.i += 1;
-        }
-        let tree = &self.code[start..self.i];
-        self.i += 1; // ;
-        let mut aliases = Vec::new();
-        Self::use_tree(tree, &[], &mut aliases);
-        self.out.uses.extend(aliases);
-    }
-
-    /// Recursively expands a use tree into (alias, path) pairs.
-    fn use_tree(toks: &[&Token], prefix: &[String], out: &mut Vec<UseAlias>) {
-        let mut i = 0;
-        let mut path: Vec<String> = prefix.to_vec();
-        while i < toks.len() {
-            match &toks[i].kind {
-                TokKind::Ident(s) if s == "as" => {
-                    // `path as alias`
-                    if let Some(alias) = toks.get(i + 1).and_then(|t| t.ident()) {
-                        out.push(UseAlias {
-                            alias: alias.to_string(),
-                            path: path.clone(),
-                        });
-                    }
-                    return;
-                }
-                TokKind::Ident(s) if s == "self" && !path.is_empty() => {
-                    // `{self, …}` — the prefix itself.
-                    out.push(UseAlias {
-                        alias: path.last().cloned().unwrap_or_default(),
-                        path: path.clone(),
-                    });
-                    return;
-                }
-                TokKind::Ident(s) => {
-                    path.push(s.clone());
-                    i += 1;
-                }
-                TokKind::Punct(':') => {
-                    i += 1; // path separator halves
-                }
-                TokKind::Punct('{') => {
-                    // Group: split top-level commas, recurse per element.
-                    let inner = Self::balanced_slice(toks, i, '{', '}');
-                    let mut start = 0;
-                    let mut depth = 0i32;
-                    for (k, t) in inner.iter().enumerate() {
-                        match &t.kind {
-                            TokKind::Punct('{') => depth += 1,
-                            TokKind::Punct('}') => depth -= 1,
-                            TokKind::Punct(',') if depth == 0 => {
-                                Self::use_tree(&inner[start..k], &path, out);
-                                start = k + 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                    if start < inner.len() {
-                        Self::use_tree(&inner[start..], &path, out);
-                    }
-                    return;
-                }
-                _ => return, // `*` glob or anything unexpected: not tracked
-            }
-        }
-        if path.len() > prefix.len() || !path.is_empty() && prefix.is_empty() {
-            if let Some(alias) = path.last().cloned() {
-                out.push(UseAlias { alias, path });
-            }
-        }
-    }
-
-    /// The tokens inside the balanced group opening at `toks[open_idx]`.
-    fn balanced_slice<'t>(toks: &'t [&'t Token], open_idx: usize, open: char, close: char) -> &'t [&'t Token] {
-        let mut depth = 0i32;
-        for (k, t) in toks.iter().enumerate().skip(open_idx) {
-            if t.is_punct(open) {
-                depth += 1;
-            } else if t.is_punct(close) {
-                depth -= 1;
-                if depth == 0 {
-                    return &toks[open_idx + 1..k];
-                }
-            }
-        }
-        &toks[open_idx + 1..]
-    }
-
-    /// `mod name;` or `mod name { items }`.
-    fn mod_item(&mut self, module: &mut Vec<String>, test_only: bool, end: usize) {
-        self.i += 1; // mod
-        let Some(name) = self.ident_at(0).map(String::from) else {
-            self.error("`mod` without a name".into());
-            self.recover(end);
-            return;
-        };
-        self.i += 1;
-        if self.punct_at(0, ';') {
-            self.i += 1;
-            self.out.mod_decls.push(name);
-            return;
-        }
-        if !self.punct_at(0, '{') {
-            self.error(format!("`mod {name}` without `;` or body"));
-            self.recover(end);
-            return;
-        }
-        self.i += 1; // {
-        let body_start = self.i;
-        module.push(name);
-        // Find the matching close so nested items can't run past it.
-        let close = self.matching_brace(body_start - 1, end);
-        self.items(module, None, test_only, close);
-        module.pop();
-        self.i = close;
-        if self.punct_at(0, '}') {
-            self.i += 1;
-        }
-        if test_only {
-            self.out.test_spans.push((body_start, close));
-        }
-    }
-
-    /// `impl … { items }` — methods get the implemented type as
-    /// `self_ty`.
-    fn impl_item(&mut self, module: &mut Vec<String>, test_only: bool, end: usize) {
-        self.i += 1; // impl
-        if self.punct_at(0, '<') {
-            self.skip_generics();
-        }
-        // Scan the header up to `{`: the self type is the last path
-        // segment at angle-depth 0 before the body, taken after `for`
-        // when present (`impl Trait for Type`), frozen at `where`.
-        let mut ty: Option<String> = None;
-        let mut in_where = false;
-        while self.i < end {
-            if self.punct_at(0, '{') {
-                break;
-            }
-            if self.punct_at(0, '<') {
-                self.skip_generics();
-                continue;
-            }
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')'); // fn-pointer / tuple types
-                continue;
-            }
-            match self.ident_at(0) {
-                Some("for") => {
-                    ty = None;
-                    in_where = false;
-                }
-                Some("where") => in_where = true,
-                Some(seg) if !in_where => ty = Some(seg.to_string()),
-                _ => {}
-            }
-            self.i += 1;
-        }
-        if !self.punct_at(0, '{') {
-            self.error("`impl` without a body".into());
-            return;
-        }
-        let open = self.i;
-        self.i += 1;
-        let close = self.matching_brace(open, end);
-        let ty = ty.unwrap_or_else(|| "?impl".into());
-        self.items(module, Some(&ty), test_only, close);
-        self.i = close;
-        if self.punct_at(0, '}') {
-            self.i += 1;
-        }
-        if test_only {
-            self.out.test_spans.push((open + 1, close));
-        }
-    }
-
-    /// `trait Name … { items }` — default methods get the trait as
-    /// `self_ty`.
-    fn trait_item(&mut self, module: &mut Vec<String>, test_only: bool, end: usize) {
-        self.i += 1; // trait
-        let name = self.ident_at(0).map_or_else(|| "?trait".into(), String::from);
-        self.i += 1;
-        while self.i < end && !self.punct_at(0, '{') {
-            if self.punct_at(0, ';') {
-                self.i += 1; // `trait Alias = …;`
-                return;
-            }
-            if self.punct_at(0, '<') {
-                self.skip_generics();
-            } else if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-            } else {
-                self.i += 1;
-            }
-        }
-        if !self.punct_at(0, '{') {
-            return;
-        }
-        let open = self.i;
-        self.i += 1;
-        let close = self.matching_brace(open, end);
-        self.items(module, Some(&name), test_only, close);
-        self.i = close;
-        if self.punct_at(0, '}') {
-            self.i += 1;
-        }
-        if test_only {
-            self.out.test_spans.push((open + 1, close));
-        }
-    }
-
-    /// `fn name<…>(params) -> Ret where … { body }` (or `;`).
-    fn fn_item(
-        &mut self,
-        module: &[String],
-        self_ty: Option<&str>,
-        test_only: bool,
-        attrs: Attrs,
-        end: usize,
-    ) {
-        let line = self.line();
-        self.i += 1; // fn
-        let Some(name) = self.ident_at(0).map(String::from) else {
-            self.error("`fn` without a name".into());
-            self.recover(end);
-            return;
-        };
-        self.i += 1;
-        if self.punct_at(0, '<') {
-            self.skip_generics();
-        }
-        if !self.punct_at(0, '(') {
-            self.error(format!("fn `{name}` without a parameter list"));
-            self.recover(end);
-            return;
-        }
-        let params_open = self.i;
-        self.skip_balanced('(', ')');
-        // `self` receiver: an ident `self` at paren depth 1 before the
-        // first comma.
-        let params = Self::balanced_slice(self.code, params_open, '(', ')');
-        let mut has_self = false;
-        for t in params {
-            if t.is_punct(',') {
-                break;
-            }
-            if t.ident() == Some("self") {
-                has_self = true;
-                break;
-            }
-        }
-        // Return type / where clause: up to `{` or `;` at group depth 0.
-        while self.i < end && !self.punct_at(0, '{') && !self.punct_at(0, ';') {
-            if self.punct_at(0, '<') {
-                self.skip_generics();
-            } else if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-            } else if self.punct_at(0, '[') {
-                self.skip_balanced('[', ']');
-            } else {
-                self.i += 1;
-            }
-        }
-        let body = if self.punct_at(0, '{') {
-            let open = self.i;
-            self.i += 1;
-            let close = self.matching_brace(open, end);
-            self.i = close;
-            if self.punct_at(0, '}') {
-                self.i += 1;
-            }
-            Some((open + 1, close))
-        } else {
-            if self.punct_at(0, ';') {
-                self.i += 1;
-            }
-            None
-        };
-        let fn_test_only = test_only || attrs.cfg_test || attrs.is_test;
-        if fn_test_only {
-            if let Some(span) = body {
-                self.out.test_spans.push(span);
-            }
-        }
-        self.out.fns.push(FnDef {
-            name,
-            self_ty: self_ty.map(String::from),
-            module: module.to_vec(),
-            line,
-            body,
-            test_only: fn_test_only,
-            has_self,
-        });
-        // Items nested in the body (`fn inner()` helpers) get their own
-        // nodes so callers attribute their calls correctly.
-        if let Some((s, e)) = body {
-            self.scan_nested_fns(s, e, module, fn_test_only);
-        }
-    }
-
-    /// Finds `fn name…` definitions inside a body span and parses each
-    /// as its own item (free functions: no self type). Each nested fn
-    /// recursively scans its own body, and the outer scan resumes past
-    /// it, so no definition is parsed twice. `fn(u32) -> u32` pointer
-    /// types don't match (no name after `fn`).
-    fn scan_nested_fns(&mut self, start: usize, end: usize, module: &[String], test_only: bool) {
-        let saved = self.i;
-        let mut k = start;
-        while k < end {
-            let is_def = self.code[k].ident() == Some("fn")
-                && self.code.get(k + 1).is_some_and(|t| t.ident().is_some());
-            if is_def {
-                self.i = k;
-                let attrs = Attrs {
-                    cfg_test: test_only,
-                    is_test: false,
+            Some("fn") if ident(i + 1).is_some() => {
+                let self_ty = match stack.last() {
+                    Some((Scope::Impl(ty), _)) => Some(ty.clone()),
+                    _ => None,
                 };
-                self.fn_item(module, None, test_only, attrs, end);
-                k = self.i; // past the nested body — never re-scanned
-            } else {
-                k += 1;
+                let module = stack
+                    .iter()
+                    .filter_map(|(s, _)| match s {
+                        Scope::Mod(m) => Some(m.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                let (has_self, header_end) = signature(code, i + 2);
+                let has_body = punct(header_end, '{');
+                out.fns.push(FnDef {
+                    name: code[i + 1].ident().unwrap_or_default().into(),
+                    self_ty,
+                    module,
+                    line: code[i].line,
+                    body: has_body.then_some((header_end + 1, header_end + 1)),
+                    test_only: test,
+                    has_self,
+                });
+                if has_body {
+                    pending = Some((Scope::Fn(out.fns.len() - 1), test));
+                }
+                i = header_end;
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    if !stack.is_empty() {
+        out.errors
+            .push(format!("end of file: {} unclosed `{{`", stack.len()));
+    }
+    out
+}
+
+const ITEM_KEYWORDS: [&str; 11] = [
+    "fn", "mod", "impl", "trait", "struct", "enum", "union", "const", "static", "type", "use",
+];
+
+/// One past the `]`/`)`/`}`/`>` closing the group opening at `open`
+/// (`->` arrows inside `<…>` do not close it).
+pub(crate) fn skip_group(code: &[&Token], open: usize) -> usize {
+    let mut depth = 0i32;
+    let mut k = open;
+    while k < code.len() {
+        let t = code[k];
+        if t.is_punct('-') && code.get(k + 1).is_some_and(|n| n.is_punct('>')) {
+            k += 2;
+            continue;
+        }
+        if t.is_punct('[') || t.is_punct('(') || t.is_punct('{') || t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct(']') || t.is_punct(')') || t.is_punct('}') || t.is_punct('>') {
+            depth -= 1;
+            if depth == 0 {
+                return k + 1;
             }
         }
-        self.i = saved;
+        k += 1;
     }
+    k
+}
 
-    /// Index of the `}` matching the `{` at `open` (bounded by `end`).
-    fn matching_brace(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut k = open;
-        while k < end {
-            if self.code[k].is_punct('{') {
-                depth += 1;
-            } else if self.code[k].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
+/// The self type of the `impl`/`trait` header at `kw`: for a trait its
+/// name; for an impl the last path segment at angle-depth 0 before the
+/// body, taken after `for` when present, frozen at `where`.
+fn self_type(code: &[&Token], kw: usize) -> String {
+    if code[kw].ident() == Some("trait") {
+        return code
+            .get(kw + 1)
+            .and_then(|t| t.ident())
+            .unwrap_or("?trait")
+            .into();
+    }
+    let mut ty = None;
+    let mut in_where = false;
+    let mut k = kw + 1;
+    while k < code.len() && !code[k].is_punct('{') && !code[k].is_punct(';') {
+        if code[k].is_punct('<') || code[k].is_punct('(') {
+            k = skip_group(code, k);
+            continue;
+        }
+        match code[k].ident() {
+            Some("for") => (ty, in_where) = (None, false),
+            Some("where") => in_where = true,
+            Some(seg) if !in_where => ty = Some(seg),
+            _ => {}
+        }
+        k += 1;
+    }
+    ty.unwrap_or("?impl").into()
+}
+
+/// Reads a fn signature from just after its name: returns whether the
+/// first parameter is `self`, and the index of the body's `{` or the
+/// terminating `;`.
+fn signature(code: &[&Token], mut k: usize) -> (bool, usize) {
+    if code.get(k).is_some_and(|t| t.is_punct('<')) {
+        k = skip_group(code, k);
+    }
+    let params_end = skip_group(code, k);
+    let has_self = code[k.min(params_end)..params_end]
+        .iter()
+        .take_while(|t| !t.is_punct(','))
+        .any(|t| t.ident() == Some("self"));
+    k = params_end;
+    while k < code.len() && !code[k].is_punct('{') && !code[k].is_punct(';') {
+        if code[k].is_punct('<') || code[k].is_punct('(') || code[k].is_punct('[') {
+            k = skip_group(code, k);
+        } else {
             k += 1;
         }
-        end
     }
-
-    /// Skips a balanced `open…close` group starting at the cursor.
-    fn skip_balanced(&mut self, open: char, close: char) {
-        let mut depth = 0i32;
-        while self.i < self.code.len() {
-            if self.punct_at(0, open) {
-                depth += 1;
-            } else if self.punct_at(0, close) {
-                depth -= 1;
-                if depth == 0 {
-                    self.i += 1;
-                    return;
-                }
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Skips a `<…>` generic group, treating `->` arrows (legal inside
-    /// `Fn(…) -> T` bounds) as non-closing.
-    fn skip_generics(&mut self) {
-        let mut depth = 0i32;
-        while self.i < self.code.len() {
-            if self.punct_at(0, '-') && self.punct_at(1, '>') {
-                self.i += 2;
-                continue;
-            }
-            if self.punct_at(0, '<') {
-                depth += 1;
-            } else if self.punct_at(0, '>') {
-                depth -= 1;
-                if depth == 0 {
-                    self.i += 1;
-                    return;
-                }
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Skips a macro body: the next balanced `(…)`, `[…]` or `{…}`.
-    fn skip_macro_body(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-                return;
-            }
-            if self.punct_at(0, '[') {
-                self.skip_balanced('[', ']');
-                return;
-            }
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                return;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Skips to the item-terminating `;`, balancing every group so
-    /// initializer expressions (struct literals, arrays, blocks) don't
-    /// end the item early.
-    fn skip_to_semi(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, ';') {
-                self.i += 1;
-                return;
-            }
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                continue;
-            }
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-                continue;
-            }
-            if self.punct_at(0, '[') {
-                self.skip_balanced('[', ']');
-                continue;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// For struct/enum/union: skip name + generics, then either the
-    /// `{…}` body, the `(…);` tuple form, or a bare `;`.
-    fn skip_to_item_body_or_semi(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                return;
-            }
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-                // Tuple struct: `(…)` then optional where clause + `;`.
-                self.skip_to_semi(end);
-                return;
-            }
-            if self.punct_at(0, ';') {
-                self.i += 1;
-                return;
-            }
-            if self.punct_at(0, '<') {
-                self.skip_generics();
-                continue;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Error recovery: skip to the next plausible item boundary (a `;`
-    /// or balanced `}` at this level).
-    fn recover(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, ';') {
-                self.i += 1;
-                return;
-            }
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                return;
-            }
-            if self.punct_at(0, '}') {
-                return;
-            }
-            self.i += 1;
-        }
-    }
+    (has_self, k)
 }
 
 #[cfg(test)]
@@ -798,6 +277,10 @@ trait T {
     fn required(&self);
     fn defaulted(&self) -> u32 { 7 }
 }
+pub const fn silent<T: Into<u64>>(x: T) -> u64 where T: Copy { x.into() }
+fn closure_bound<F: Fn(u32) -> u32>(f: F, g: fn(u32) -> u32) -> u32 { f(1) }
+const TABLE: [u8; 4] = [1, 2, 3, 4];
+macro_rules! mk { () => {} }
 ",
         );
         assert!(p.errors.is_empty(), "{:?}", p.errors);
@@ -815,6 +298,8 @@ trait T {
                 ("fmt".into(), Some("S".into()), true),
                 ("required".into(), Some("T".into()), true),
                 ("defaulted".into(), Some("T".into()), true),
+                ("silent".into(), None, false),
+                ("closure_bound".into(), None, false),
             ]
         );
         // `required` has no body; `defaulted` does.
@@ -823,23 +308,7 @@ trait T {
     }
 
     #[test]
-    fn generics_where_clauses_and_const_fns() {
-        let p = parse(
-            r#"
-pub const fn silent<T: Into<u64>>(x: T) -> u64 where T: Copy { x.into() }
-fn closure_bound<F: Fn(u32) -> u32>(f: F) -> u32 { f(1) }
-unsafe fn danger() {}
-pub async fn later() {}
-extern "C" fn c_abi() {}
-"#,
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["silent", "closure_bound", "danger", "later", "c_abi"]);
-    }
-
-    #[test]
-    fn modules_nest_and_cfg_test_marks_spans() {
+    fn modules_nest_and_cfg_test_marks_fns() {
         let p = parse(
             r"
 mod outer {
@@ -864,58 +333,6 @@ fn top() {}
         assert!(by_name("a_test").test_only);
         assert!(by_name("helper").test_only, "cfg(test) mod marks all fns");
         assert!(!by_name("top").test_only);
-        assert!(!p.test_spans.is_empty());
-        let helper_body = by_name("helper").body.unwrap();
-        assert!(p.in_test_span(helper_body.0));
-        let top_body = by_name("top").body.unwrap();
-        assert!(!p.in_test_span(top_body.0));
-    }
-
-    #[test]
-    fn use_aliases_expand_groups_and_renames() {
-        let p = parse(
-            r"
-use std::collections::HashMap;
-use crate::queue::{EventQueue, wheel::TimerWheel};
-use siteselect_sim::Prng as Rng;
-use super::fabric::{self, Fabric};
-use std::io::*;
-",
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let find = |a: &str| {
-            p.uses
-                .iter()
-                .find(|u| u.alias == a)
-                .map(|u| u.path.join("::"))
-        };
-        assert_eq!(find("HashMap").as_deref(), Some("std::collections::HashMap"));
-        assert_eq!(find("EventQueue").as_deref(), Some("crate::queue::EventQueue"));
-        assert_eq!(
-            find("TimerWheel").as_deref(),
-            Some("crate::queue::wheel::TimerWheel")
-        );
-        assert_eq!(find("Rng").as_deref(), Some("siteselect_sim::Prng"));
-        assert_eq!(find("fabric").as_deref(), Some("super::fabric"));
-        assert_eq!(find("Fabric").as_deref(), Some("super::fabric::Fabric"));
-    }
-
-    #[test]
-    fn item_macros_consts_and_extern_blocks_are_skipped() {
-        let p = parse(
-            r#"
-thread_local! { static TL: u32 = 0; }
-const TABLE: [u8; 4] = [1, 2, 3, 4];
-static NAMES: &[&str] = &["a", "b"];
-type Pair = (u32, u32);
-macro_rules! mk { () => {} }
-extern "C" { fn puts(s: *const u8) -> i32; }
-fn after() {}
-"#,
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        assert_eq!(p.fns.len(), 1);
-        assert_eq!(p.fns[0].name, "after");
     }
 
     #[test]
@@ -933,10 +350,8 @@ fn after() {}
     }
 
     #[test]
-    fn unrecognized_items_error_but_do_not_derail() {
-        let p = parse("fn ok() {} ??? garbage ; fn also_ok() {}");
-        assert!(!p.errors.is_empty());
-        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
-        assert!(names.contains(&"ok") && names.contains(&"also_ok"), "{names:?}");
+    fn unbalanced_braces_are_errors() {
+        assert!(!parse("fn ok() {} }").errors.is_empty());
+        assert!(!parse("fn open() {").errors.is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! D1 positive: wall-clock reads in deterministic code.
-use std::time::{Instant, SystemTime};
+use std::time::{Instant, SystemTime}; // violation: clippy::disallowed_types
 
-fn elapsed_wall() -> u128 {
-    let start = Instant::now(); // violation
-    let _epoch = SystemTime::now(); // violation
+pub fn elapsed_wall() -> u128 {
+    let start = Instant::now(); // violation: clippy::disallowed_methods
+    let _epoch = SystemTime::now(); // violation: clippy::disallowed_types
     start.elapsed().as_nanos()
 }

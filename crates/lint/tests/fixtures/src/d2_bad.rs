@@ -1,21 +1,19 @@
-//! D2 positive: hash-ordered iteration in a deterministic crate whose
-//! order escapes (returned, collected without a sort, or retained with
-//! no provable fill-then-sort).
+//! D2 positive: hash-ordered iteration in a deterministic crate.
 use std::collections::{HashMap, HashSet};
 
-struct State {
+pub struct State {
     txns: HashMap<u64, u32>,
 }
 
 impl State {
-    fn sweep(&mut self) -> Vec<u64> {
+    pub fn sweep(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for (k, _v) in &self.txns {
-            out.push(*k); // violation: `out` is returned unsorted
+        for (k, _v) in &self.txns { // violation: clippy::iter_over_hash_type
+            out.push(*k);
         }
         let live: HashSet<u64> = HashSet::new();
-        let _ids: Vec<u64> = live.iter().copied().collect(); // violation: collected, never sorted
-        self.txns.retain(|_, v| *v > 0); // violation (closure sees hash order)
+        let _ids: Vec<u64> = live.iter().copied().collect(); // violation: clippy::disallowed_methods
+        self.txns.retain(|_, v| *v > 0); // violation: clippy::disallowed_methods
         out
     }
 }

@@ -1,8 +1,8 @@
 //! D3 positive: ambient randomness sources.
-use std::collections::hash_map::DefaultHasher; // violation
-use std::hash::RandomState; // violation
+use std::hash::{DefaultHasher, RandomState}; // violation: clippy::disallowed_types
 
-fn roll() -> u64 {
-    let _hasher = DefaultHasher::new(); // violation
+pub fn roll() -> u64 {
+    let _hasher = DefaultHasher::new(); // violation: clippy::disallowed_types
+    let _state = RandomState::new(); // violation: clippy::disallowed_types
     42
 }

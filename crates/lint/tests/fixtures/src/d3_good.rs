@@ -1,16 +1,16 @@
 //! D3 negative: seeded generator threaded explicitly.
-struct Prng(u64);
+pub struct Prng(u64);
 
 impl Prng {
     fn seeded(seed: u64) -> Prng {
         Prng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
-    fn next(&mut self) -> u64 {
+    fn step(&mut self) -> u64 {
         self.0 = self.0.rotate_left(7) ^ 0xdead_beef;
         self.0
     }
 }
 
-fn roll(seed: u64) -> u64 {
-    Prng::seeded(seed).next()
+pub fn roll(seed: u64) -> u64 {
+    Prng::seeded(seed).step()
 }

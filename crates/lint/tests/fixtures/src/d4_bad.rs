@@ -1,4 +1,5 @@
 //! D4 positive: undocumented `unsafe`.
-fn read_first(v: &[u8]) -> u8 {
-    unsafe { *v.get_unchecked(0) } // violation: no SAFETY comment
+#[expect(unsafe_code, reason = "this fixture is about the missing SAFETY comment")]
+pub fn read_first(v: &[u8]) -> u8 {
+    unsafe { *v.get_unchecked(0) } // violation: clippy::undocumented_unsafe_blocks
 }

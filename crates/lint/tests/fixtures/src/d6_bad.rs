@@ -1,5 +1,5 @@
 //! D6 positive: printing from library code.
-fn report(hits: u64) {
-    println!("hits = {hits}"); // violation
-    eprintln!("warn"); // violation
+pub fn report(hits: u64) {
+    println!("hits = {hits}"); // violation: clippy::print_stdout
+    eprintln!("warn"); // violation: clippy::print_stderr
 }

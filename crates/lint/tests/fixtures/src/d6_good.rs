@@ -4,6 +4,6 @@
 //! ```
 //! println!("{}", render(3));
 //! ```
-fn render(hits: u64) -> String {
+pub fn render(hits: u64) -> String {
     format!("hits = {hits}")
 }

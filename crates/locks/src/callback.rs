@@ -136,6 +136,7 @@ impl CallbackTracker {
         if lease.is_zero() {
             return Vec::new();
         }
+        #[expect(clippy::disallowed_methods, reason = "collected, then sorted before returning")]
         let mut out: Vec<(ObjectId, ClientId)> = self
             .recalls
             .iter()
@@ -153,6 +154,10 @@ impl CallbackTracker {
     /// Records that `from` answered the callback on `object` (returned or
     /// downgraded its lock). Returns `None` if no recall was outstanding for
     /// that pair.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the recall was looked up at the top of the fn and is removed only when empty"
+    )]
     pub fn acknowledge(&mut self, object: ObjectId, from: ClientId) -> Option<RecallProgress> {
         let recall = self.recalls.get_mut(&object)?;
         recall.outstanding.remove(&from)?;
@@ -193,6 +198,10 @@ impl CallbackTracker {
     /// ack); returns the objects whose recalls completed as a result.
     pub fn forget_client(&mut self, client: ClientId) -> Vec<ObjectId> {
         let mut done = Vec::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-entry removal; the completed list is sorted before returning"
+        )]
         self.recalls.retain(|&obj, r| {
             r.outstanding.remove(&client);
             if r.outstanding.is_empty() {

@@ -122,6 +122,10 @@ impl ForwardList {
     /// readers may hold the object simultaneously), or a single exclusive
     /// entry. Does not consume.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the list is nonempty (first() matched) and run counts a prefix of it"
+    )]
     pub fn next_group(&self) -> &[ForwardEntry] {
         match self.entries.first() {
             None => &[],

@@ -44,9 +44,14 @@
 //! assert_eq!(granted[0].owner, b);
 //! ```
 
+// D9 (DESIGN.md §11): a panic in engine library code would invalidate a
+// replay or pass for a site crash in the recovery oracle. Each accepted
+// site carries `#[expect(…, reason = "<invariant>")]` on its fn; tests
+// are exempt via clippy.toml.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 pub mod callback;
 pub mod forward;
-pub mod inline;
 pub mod protocol_costs;
 #[cfg(test)]
 mod reference;
@@ -56,7 +61,6 @@ pub mod window;
 
 pub use callback::{CallbackTracker, RecallProgress};
 pub use forward::{ForwardEntry, ForwardList};
-pub use inline::InlineVec;
 pub use table::{Acquire, LockTable, QueueDiscipline, Waiter};
 pub use waitfor::WaitForGraph;
 pub use window::{WindowManager, WindowOffer};

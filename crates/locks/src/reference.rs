@@ -208,6 +208,10 @@ impl<O: LockOwner> RefLockTable<O> {
         let mut held = self.held_by.remove(&owner).unwrap_or_default();
         held.sort_unstable();
         held.dedup();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected, then sorted on the next statement"
+        )]
         let mut queued: Vec<ObjectId> = self
             .objects
             .iter()
@@ -258,9 +262,10 @@ impl<O: LockOwner> RefLockTable<O> {
         (removed, granted)
     }
 
-    // The nested tuple return mirrors `LockTable::cancel_expired` so the
-    // property tests can diff the two implementations verbatim.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the nested tuple mirrors LockTable::cancel_expired so the property tests diff the two verbatim"
+    )]
     pub fn cancel_expired(
         &mut self,
         now: SimTime,
@@ -269,6 +274,7 @@ impl<O: LockOwner> RefLockTable<O> {
         Vec<(ObjectId, Vec<RefWaiter<O>>)>,
     ) {
         let mut expired = Vec::new();
+        #[expect(clippy::disallowed_methods, reason = "collected, then sorted on the next line")]
         let mut objs: Vec<ObjectId> = self.objects.keys().copied().collect();
         objs.sort_unstable();
         for obj in &objs {

@@ -17,7 +17,7 @@ use std::hash::Hash;
 
 use siteselect_types::{LockMode, ObjectId, SimTime};
 
-use crate::inline::InlineVec;
+use siteselect_types::InlineVec;
 
 /// Trait alias for lock-owner identifiers (clients at the server's global
 /// table, transactions at a site's local table).
@@ -240,6 +240,7 @@ impl<O: LockOwner> LockTable<O> {
     /// Mutable entry access, growing the slab on demand. An empty slot is
     /// filled from the recycling pool, so inside a pre-seeded table a fresh
     /// object costs no allocation.
+    #[expect(clippy::indexing_slicing, reason = "the slab is resized to cover idx just above")]
     fn entry_mut(&mut self, object: ObjectId) -> &mut ObjectLocks<O> {
         let idx = object.index() as usize;
         if idx >= self.objects.len() {
@@ -415,6 +416,10 @@ impl<O: LockOwner> LockTable<O> {
 
     /// Releases every lock `owner` holds or awaits; returns, per object, the
     /// newly granted waiters.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "split was taken from work.len() before extending it"
+    )]
     pub fn release_all(&mut self, owner: O) -> Vec<(ObjectId, Vec<Waiter<O>>)> {
         // Held objects first (ascending), then awaited objects (ascending),
         // matching the order of the original held-then-slab-scan walk; an
@@ -507,6 +512,11 @@ impl<O: LockOwner> LockTable<O> {
         // reverse index; pruning and promotion are no-ops elsewhere.
         let mut touched = std::mem::take(&mut self.scratch);
         touched.clear();
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "the touched set is sorted and deduplicated right after"
+        )]
         for objs in self.waits_of.values() {
             touched.extend(objs.iter().copied());
         }
@@ -635,6 +645,7 @@ impl<O: LockOwner> LockTable<O> {
 
     /// Internal consistency check (tests / debug builds): no conflicting
     /// holders coexist and the reverse index matches.
+    #[expect(clippy::indexing_slicing, reason = "i < j < holders.len() by the loop bounds")]
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, slot) in self.objects.iter().enumerate() {
             let Some(e) = slot.as_deref() else { continue };
@@ -679,8 +690,10 @@ impl<O: LockOwner> LockTable<O> {
         }
         // No stale entries: everything in the waiting index must point at a
         // live waiter.
-        // detlint: allow(D2) — validation sweep; any violation fails the
-        // check regardless of visit order
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "validation sweep; any violation fails the check regardless of visit order"
+        )]
         for (o, objs) in &self.waits_of {
             if objs.is_empty() {
                 return Err(format!("empty waits_of entry for {o:?}"));

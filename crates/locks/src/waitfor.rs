@@ -57,6 +57,10 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
                 continue;
             }
             if let Some(next) = self.edges.get(&n) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "reachability: the DFS answer does not depend on visit order"
+                )]
                 stack.extend(next.iter().copied());
             }
         }
@@ -95,7 +99,10 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
     /// at it (the owner released everything).
     pub fn remove_node(&mut self, node: N) {
         self.edges.remove(&node);
-        // detlint: allow(D2) — per-entry removal; result independent of visit order
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-entry removal; result independent of visit order"
+        )]
         self.edges.retain(|_, set| {
             set.remove(&node);
             !set.is_empty()
@@ -110,6 +117,7 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
 
     /// Total number of wait edges.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "a sum is independent of visit order")]
     pub fn edge_count(&self) -> usize {
         self.edges.values().map(HashSet::len).sum()
     }
@@ -117,12 +125,20 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
     /// Exhaustive cycle check (O(V·E)); used by tests to validate that the
     /// incremental `would_deadlock` gate keeps the graph acyclic.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "any() over a pure predicate is independent of visit order"
+    )]
     pub fn has_cycle(&self) -> bool {
         self.edges.keys().any(|&n| self.reaches_via_edges(n))
     }
 
     fn reaches_via_edges(&self, start: N) -> bool {
         // Does `start` reach itself through at least one edge?
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reachability: the DFS answer does not depend on visit order"
+        )]
         let mut stack: Vec<N> = self
             .edges
             .get(&start)
@@ -137,6 +153,10 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
                 continue;
             }
             if let Some(next) = self.edges.get(&n) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "reachability: the DFS answer does not depend on visit order"
+                )]
                 stack.extend(next.iter().copied());
             }
         }

@@ -25,6 +25,12 @@
 //! assert_eq!(order, vec!["a", "b", "c"]);
 //! ```
 
+// D9 (DESIGN.md §11): a panic in engine library code would invalidate a
+// replay or pass for a site crash in the recovery oracle. Each accepted
+// site carries `#[expect(…, reason = "<invariant>")]` on its fn; tests
+// are exempt via clippy.toml.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 pub mod queue;
 pub mod rng;
 pub mod stats;

@@ -147,13 +147,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Files a wheel entry (`entry.at >= self.cursor`) into its level/slot.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level_of(x) <= 63/SLOT_BITS = 10 < LEVELS; slot is masked to SLOTS-1"
+    )]
     fn place(&mut self, entry: Entry<E>) {
         let xor = entry.at ^ self.cursor;
         let lvl = if xor == 0 { 0 } else { level_of(xor) };
         let slot = ((entry.at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        // detlint: allow(D9) — level_of(x) <= 63/SLOT_BITS = 10 < LEVELS; slot is masked to SLOTS-1
         self.levels[lvl].slots[slot].push(entry);
-        // detlint: allow(D9) — same bounds as the line above
         self.levels[lvl].occupied |= 1 << slot;
     }
 
@@ -161,19 +163,21 @@ impl<E> EventQueue<E> {
     /// occupied bucket, cascading higher-level slots down as needed, and
     /// moves that bucket into the (empty) drain, sorted for FIFO pops.
     #[cold]
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "levels has LEVELS > 0 entries, trailing_zeros of a nonzero u64 is <= 63 < SLOTS, and len > 0 implies an occupied bucket"
+    )]
     fn settle(&mut self) {
         debug_assert!(self.drain.is_empty() && self.len > 0);
         loop {
-            // detlint: allow(D9) — 0 < LEVELS, a compile-time constant
             let occ0 = self.levels[0].occupied;
             if occ0 != 0 {
                 let slot = occ0.trailing_zeros() as usize;
                 let bucket = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
                 debug_assert!(bucket >= self.cursor);
                 self.cursor = bucket;
-                // detlint: allow(D9) — trailing_zeros of a nonzero u64 is <= 63 < SLOTS
                 self.levels[0].occupied &= !(1u64 << slot);
-                // detlint: allow(D9) — same bounds as the line above
                 std::mem::swap(&mut self.levels[0].slots[slot], &mut self.drain);
                 // A level-0 bucket is one exact tick, but cascades append
                 // out of sequence order; one in-place sort restores FIFO.
@@ -182,13 +186,9 @@ impl<E> EventQueue<E> {
                 return;
             }
             let lvl = (1..LEVELS)
-                // detlint: allow(D9) — l ranges over 1..LEVELS
                 .find(|&l| self.levels[l].occupied != 0)
-                // detlint: allow(D9) — len > 0 implies some occupied bucket
                 .expect("len > 0 but every level is empty");
-            // detlint: allow(D9) — lvl < LEVELS from the find above
             let slot = self.levels[lvl].occupied.trailing_zeros() as usize;
-            // detlint: allow(D9) — lvl < LEVELS; slot <= 63 < SLOTS (nonzero occupied)
             self.levels[lvl].occupied &= !(1u64 << slot);
             let shift = SLOT_BITS * lvl as u32;
             // Bits strictly above this level; empty at the top level, where
@@ -198,13 +198,11 @@ impl<E> EventQueue<E> {
             debug_assert!(base > self.cursor);
             self.cursor = base;
             debug_assert!(self.scratch.is_empty());
-            // detlint: allow(D9) — lvl < LEVELS and slot < SLOTS as established above
             std::mem::swap(&mut self.levels[lvl].slots[slot], &mut self.scratch);
             while let Some(e) = self.scratch.pop() {
                 debug_assert!(e.at >= self.cursor);
                 self.place(e);
             }
-            // detlint: allow(D9) — same bounds as the swap above
             std::mem::swap(&mut self.levels[lvl].slots[slot], &mut self.scratch);
         }
     }
@@ -275,13 +273,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Drops all queued events.
+    #[expect(clippy::indexing_slicing, reason = "trailing_zeros of a nonzero u64 is <= 63 < SLOTS")]
     pub fn clear(&mut self) {
         self.drain.clear();
         for level in self.levels.iter_mut() {
             while level.occupied != 0 {
                 let slot = level.occupied.trailing_zeros() as usize;
                 level.occupied &= !(1u64 << slot);
-                // detlint: allow(D9) — trailing_zeros of a nonzero u64 is <= 63 < SLOTS
                 level.slots[slot].clear();
             }
         }

@@ -161,9 +161,9 @@ impl Prng {
     /// # Panics
     ///
     /// Panics if the slice is empty.
+    #[expect(clippy::indexing_slicing, reason = "below_usize(len) < len, and len > 0 is asserted")]
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "Prng::choose requires a non-empty slice");
-        // detlint: allow(D9) — below_usize(len) < len, and len > 0 is asserted
         &items[self.below_usize(items.len())]
     }
 

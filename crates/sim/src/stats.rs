@@ -185,6 +185,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[expect(clippy::indexing_slicing, reason = "idx is clamped to len-1 on the line above")]
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         if x < self.lo {
@@ -195,7 +196,6 @@ impl Histogram {
             let width = (self.hi - self.lo) / self.buckets.len() as f64;
             let idx = ((x - self.lo) / width) as usize;
             let idx = idx.min(self.buckets.len() - 1);
-            // detlint: allow(D9) — idx is clamped to len-1 on the line above
             self.buckets[idx] += 1;
         }
     }

@@ -163,6 +163,11 @@ impl BufferManager {
     ///
     /// [`BufferError::NoSuchPage`] if the page is not in the file;
     /// [`BufferError::AllFramesPinned`] if no victim frame is available.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "map only names occupied frames, find_victim returns an in-range free frame, and contains() was checked"
+    )]
     pub fn fetch(&mut self, id: ObjectId, disk: &mut DiskFile) -> Result<usize, BufferError> {
         self.tick += 1;
         if let Some(&idx) = self.map.get(id) {
@@ -190,6 +195,11 @@ impl BufferManager {
         Ok(idx)
     }
 
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "the buffer is full (no empty frame was found) and victims come from its index range"
+    )]
     fn find_victim(&mut self, disk: &mut DiskFile) -> Result<usize, BufferError> {
         // Prefer an empty frame.
         if let Some(idx) = self.frames.iter().position(Option::is_none) {
@@ -219,6 +229,11 @@ impl BufferManager {
         Ok(idx)
     }
 
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "the sweep runs only on a full buffer and the hand wraps at frames.len()"
+    )]
     fn clock_sweep(&mut self) -> Option<usize> {
         // Two full sweeps guarantee termination: the first clears reference
         // bits, the second must find an unpinned frame if one exists.
@@ -305,6 +320,7 @@ impl BufferManager {
     /// Read access to a buffered page by id, without pinning or touching
     /// recency state (used for non-counted inspection).
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "map only names in-range frames")]
     pub fn peek(&self, id: ObjectId) -> Option<&Page> {
         let &idx = self.map.get(id)?;
         self.frames[idx].as_ref().map(|f| &f.page)

@@ -107,6 +107,10 @@ impl LruSet {
     }
 
     /// Detaches a live node from the recency list (leaves `live` set).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from the slab and NIL links are matched out before indexing"
+    )]
     fn unlink(&mut self, idx: u32) {
         let Node { prev, next, .. } = self.nodes[idx as usize];
         match prev {
@@ -120,6 +124,10 @@ impl LruSet {
     }
 
     /// Attaches a node at the MRU tail.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from the slab and NIL links are matched out before indexing"
+    )]
     fn link_tail(&mut self, idx: u32) {
         let node = &mut self.nodes[idx as usize];
         node.live = true;
@@ -146,6 +154,10 @@ impl LruSet {
 
     /// Inserts `id` as most-recently-used; returns the evicted LRU element
     /// if the set was full.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from the slab and NIL links are matched out before indexing"
+    )]
     fn insert(&mut self, id: ObjectId) -> Option<ObjectId> {
         if self.capacity == 0 {
             return Some(id);
@@ -179,6 +191,10 @@ impl LruSet {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from the slab and NIL links are matched out before indexing"
+    )]
     fn remove(&mut self, id: ObjectId) -> bool {
         if !self.contains(id) {
             return false;
@@ -191,6 +207,10 @@ impl LruSet {
     }
 
     /// Members from LRU to MRU.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from the slab and NIL links are matched out before indexing"
+    )]
     fn iter(&self) -> impl Iterator<Item = ObjectId> + '_ {
         let mut cur = self.head;
         std::iter::from_fn(move || {

@@ -64,6 +64,7 @@ impl DiskModel {
     /// # Panics
     ///
     /// Panics in debug builds if `factor < 1` or the windows are unsorted.
+    #[expect(clippy::indexing_slicing, reason = "windows(2) yields two-element slices")]
     pub fn set_slow_episodes(&mut self, episodes: Vec<(SimTime, SimTime)>, factor: f64) {
         debug_assert!(factor >= 1.0, "slow factor {factor} must not speed the disk up");
         debug_assert!(
@@ -76,6 +77,10 @@ impl DiskModel {
 
     /// True if an I/O starting at `t` falls inside a slow-disk episode.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Err(0) is matched above, so i - 1 is a valid episode"
+    )]
     pub fn is_slow_at(&self, t: SimTime) -> bool {
         // Schedules are tiny (a handful of episodes per run); linear scan
         // with the binary search only as a fast path for long schedules.

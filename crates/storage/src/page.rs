@@ -113,6 +113,10 @@ impl Page {
     ///
     /// Panics if `offset + 8` exceeds [`PAGE_SIZE`].
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offsets are STAMP_OFFSET or logged offsets, all inside PAGE_SIZE; documented under # Panics"
+    )]
     pub fn read_u64_at(&self, offset: usize) -> u64 {
         let mut buf = [0u8; 8];
         buf.copy_from_slice(&self.bytes()[offset..offset + 8]);
@@ -124,6 +128,10 @@ impl Page {
     /// # Panics
     ///
     /// Panics if `offset + 8` exceeds [`PAGE_SIZE`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offsets are STAMP_OFFSET or logged offsets, all inside PAGE_SIZE; documented under # Panics"
+    )]
     pub fn write_u64_at(&mut self, offset: usize, value: u64) {
         self.materialize();
         self.data[offset..offset + 8].copy_from_slice(&value.to_le_bytes());

@@ -136,6 +136,10 @@ impl PagedFile {
     /// # Errors
     ///
     /// Propagates buffer errors (missing page, all frames pinned).
+    #[expect(
+        clippy::expect_used,
+        reason = "fetch just pinned the frame, so it exists until the unpin"
+    )]
     pub fn with_page<R>(&mut self, id: ObjectId, f: impl FnOnce(&Page) -> R) -> Result<R, PfError> {
         let idx = self.buffer.fetch(id, &mut self.disk)?;
         let out = f(self.buffer.page(idx).expect("frame just fetched"));
@@ -148,6 +152,10 @@ impl PagedFile {
     /// # Errors
     ///
     /// Propagates buffer errors (missing page, all frames pinned).
+    #[expect(
+        clippy::expect_used,
+        reason = "fetch just pinned the frame, so it exists until the unpin"
+    )]
     pub fn with_page_mut<R>(
         &mut self,
         id: ObjectId,

@@ -73,6 +73,11 @@ impl RecoveryOutcome {
 /// Replays a crash-surviving log image against the disk image it belongs to,
 /// returning the reopened log (with compensation records appended and
 /// forced) and what the replay did. The paged file is flushed on return.
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "the log only names pages of this database, and valid_bytes <= log_image.len() by the scan"
+)]
 pub fn replay(log_image: &[u8], file: &mut PagedFile) -> (Wal, RecoveryOutcome) {
     // Analysis classification: transaction outcomes as of the end of the log.
     #[derive(PartialEq)]
@@ -231,6 +236,7 @@ impl DurableStore {
     /// # Panics
     ///
     /// Panics if `page` is outside the database.
+    #[expect(clippy::expect_used, reason = "engine writes stay inside the database")]
     pub fn write(&mut self, txn: u64, page: ObjectId) -> u64 {
         // Stamps are LSN + 1 so that 0 remains "never written"; LSNs are
         // monotone across restarts, so stamps on disk are unique.
@@ -274,6 +280,7 @@ impl DurableStore {
     /// Rolls back `txn` in place, logging each restoration as a
     /// compensation update followed by an abort record. Not forced: if the
     /// site crashes first, replay reaches the same state via undo.
+    #[expect(clippy::expect_used, reason = "the undo chain only references pages of this database")]
     pub fn abort(&mut self, txn: u64) {
         let chain = self.undo.remove(&txn).unwrap_or_default();
         for &(page, offset, before, after) in chain.iter().rev() {
@@ -349,6 +356,10 @@ impl DurableStore {
     ///
     /// Panics if `page` is outside the database.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "engine reads stay inside the database; documented under # Panics"
+    )]
     pub fn stamp_of(&self, page: ObjectId) -> u64 {
         self.file
             .peek(page)

@@ -92,6 +92,7 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+#[expect(clippy::expect_used, reason = "get(at..at + 8) returned exactly 8 bytes")]
 fn get_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
     let raw = bytes.get(*at..*at + 8)?;
     *at += 8;
@@ -136,6 +137,7 @@ impl LogRecord {
         p
     }
 
+    #[expect(clippy::expect_used, reason = "each get(at..at + n) returned exactly n bytes")]
     fn decode_payload(p: &[u8]) -> Option<LogRecord> {
         let (&kind, rest) = p.split_first()?;
         let mut at = 0usize;
@@ -197,6 +199,10 @@ pub struct LogScan {
 
 /// Decodes a log image, stopping at the first torn or corrupt frame.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "each header field was read with get(..n) and is exactly n bytes"
+)]
 pub fn scan(bytes: &[u8]) -> LogScan {
     let mut records = Vec::new();
     let mut at = 0usize;
@@ -333,6 +339,7 @@ impl Wal {
     /// first `staged_keep` bytes of the staged tail (a torn tail when the cut
     /// lands mid-record).
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "keep is clamped to staged.len()")]
     pub fn crash_image(&self, staged_keep: usize) -> Vec<u8> {
         let keep = staged_keep.min(self.staged.len());
         let mut image = self.durable.clone();

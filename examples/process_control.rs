@@ -12,6 +12,8 @@
 //! cargo run --release --example process_control
 //! ```
 
+#![allow(clippy::print_stdout, reason = "a runnable example: stdout is its interface")]
+
 use siteselect::core::run_experiment;
 use siteselect::types::{DeadlinePolicy, ExperimentConfig, SimDuration, SystemKind};
 

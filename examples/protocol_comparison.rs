@@ -5,6 +5,8 @@
 //! cargo run --release --example protocol_comparison
 //! ```
 
+#![allow(clippy::print_stdout, reason = "a runnable example: stdout is its interface")]
+
 use siteselect::locks::protocol_costs::{
     cached_two_pl_trace, figure1_trace, figure2_trace, grouped_trace, render_trace,
 };

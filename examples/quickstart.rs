@@ -4,6 +4,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout, reason = "a runnable example: stdout is its interface")]
+
 use siteselect::core::run_experiment;
 use siteselect::types::{ExperimentConfig, SimDuration, SystemKind};
 

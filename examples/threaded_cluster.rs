@@ -6,6 +6,8 @@
 //! cargo run --release --example threaded_cluster
 //! ```
 
+#![allow(clippy::print_stdout, reason = "a runnable example: stdout is its interface")]
+
 use siteselect::cluster::{Cluster, ClusterConfig};
 use siteselect::types::SimDuration;
 

@@ -10,6 +10,8 @@
 //! cargo run --release --example trading_floor
 //! ```
 
+#![allow(clippy::print_stdout, reason = "a runnable example: stdout is its interface")]
+
 use siteselect::core::run_experiment;
 use siteselect::types::{
     DeadlinePolicy, ExperimentConfig, SimDuration, SystemKind,

@@ -85,7 +85,10 @@ fn final_store_versions_match_committed_writes() {
             seen.entry(object).or_default().push(from + 1);
         }
     }
-    // detlint: allow(D2) — each object is asserted independently; order is free
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "each object is asserted independently; order is free"
+    )]
     for (object, mut versions) in seen {
         versions.sort_unstable();
         let expected: Vec<u64> = (1..=versions.len() as u64).collect();

@@ -503,7 +503,7 @@ fn histogram_quantiles_are_monotone_and_bounded() {
 // Dense object-indexed containers vs the std HashMap/HashSet oracle.
 // ------------------------------------------------------------------
 
-use siteselect::locks::InlineVec;
+use siteselect::types::InlineVec;
 use siteselect::types::{ObjectMap, ObjectSet};
 use std::collections::{HashMap, HashSet};
 
@@ -521,6 +521,7 @@ fn dense_id(rng: &mut Prng) -> ObjectId {
 fn check_map_matches(m: &ObjectMap<u64>, model: &HashMap<u32, u64>) {
     assert_eq!(m.len(), model.len());
     assert_eq!(m.is_empty(), model.is_empty());
+    #[expect(clippy::disallowed_methods, reason = "collected, then sorted on the next line")]
     let mut expect: Vec<(u32, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     expect.sort_unstable();
     let got: Vec<(u32, u64)> = m.iter().map(|(id, &v)| (id.0, v)).collect();
@@ -570,7 +571,10 @@ fn object_map_matches_hashmap_oracle() {
                 _ => {
                     let bit = rng.bernoulli(0.5);
                     m.retain(|id, v| (id.0 as u64 + *v).is_multiple_of(2) == bit);
-                    // detlint: allow(D2) — the predicate is per-element, visit order is irrelevant
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the predicate is per-element, visit order is irrelevant"
+                    )]
                     model.retain(|&k, v| (u64::from(k) + *v).is_multiple_of(2) == bit);
                 }
             }
@@ -604,6 +608,10 @@ fn object_set_matches_hashset_oracle() {
             }
             assert_eq!(s.len(), model.len());
             assert_eq!(s.is_empty(), model.is_empty());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "collected, then sorted on the next line"
+            )]
             let mut expect: Vec<u32> = model.iter().copied().collect();
             expect.sort_unstable();
             let got: Vec<u32> = s.iter().map(|id| id.0).collect();
