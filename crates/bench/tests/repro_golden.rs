@@ -10,7 +10,7 @@
 use std::process::Command;
 
 #[test]
-#[ignore = "full paper reproduction (~2 min in release); run via scripts/ci.sh"]
+#[ignore = "full paper reproduction (~20 s in release on 2 cores); run by CI and scripts/ci.sh"]
 fn repro_all_matches_pinned_results() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("all")

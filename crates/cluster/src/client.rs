@@ -6,14 +6,13 @@
     reason = "D1 allowlist: the threaded runtime times out on the wall clock; the cluster is outside the deterministic set (D2)"
 )]
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use std::sync::mpsc::Receiver;
 
 use siteselect_obs::{Event, EventSink};
-use siteselect_types::{ClientId, LockMode, ObjectId, SimTime, SiteId, TransactionSpec};
+use siteselect_types::{ClientId, HashMap, LockMode, ObjectId, SimTime, SiteId, TransactionSpec};
 
 use crate::sync::{Condvar, Mutex};
 
@@ -57,7 +56,7 @@ impl ClientShared {
         Arc::new(ClientShared {
             id,
             state: Mutex::new(CacheState {
-                objects: HashMap::new(),
+                objects: HashMap::default(),
                 capacity,
                 tick: 0,
             }),

@@ -6,11 +6,10 @@
 //! verifies that the induced precedence graph over transactions is acyclic
 //! — the standard conflict-serializability test.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::sync::Mutex;
-use siteselect_types::{ObjectId, TransactionId};
+use siteselect_types::{HashMap, HashSet, ObjectId, TransactionId};
 
 /// One recorded access by a committed transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +131,7 @@ impl HistoryLog {
 /// See [`HistoryLog::check_serializable`].
 pub fn check_ops(ops: &[Op]) -> Result<(), SerializabilityError> {
     // Writer of each (object, version-produced).
-    let mut writer_of: HashMap<(ObjectId, u64), TransactionId> = HashMap::new();
+    let mut writer_of: HashMap<(ObjectId, u64), TransactionId> = HashMap::default();
     for op in ops {
         if let Op::Write { txn, object, from } = *op {
             if let Some(prev) = writer_of.insert((object, from + 1), txn) {
@@ -146,7 +145,7 @@ pub fn check_ops(ops: &[Op]) -> Result<(), SerializabilityError> {
         }
     }
     // Precedence edges.
-    let mut edges: HashMap<TransactionId, HashSet<TransactionId>> = HashMap::new();
+    let mut edges: HashMap<TransactionId, HashSet<TransactionId>> = HashMap::default();
     let mut add = |a: TransactionId, b: TransactionId| {
         if a != b {
             edges.entry(a).or_default().insert(b);
@@ -180,7 +179,7 @@ pub fn check_ops(ops: &[Op]) -> Result<(), SerializabilityError> {
         }
     }
     // Cycle detection: iterative DFS with colors.
-    let mut color: HashMap<TransactionId, u8> = HashMap::new(); // 1 = on stack, 2 = done
+    let mut color: HashMap<TransactionId, u8> = HashMap::default(); // 1 = on stack, 2 = done
     #[expect(
         clippy::disallowed_methods,
         reason = "cycle detection: whether a cycle exists does not depend on visit order"

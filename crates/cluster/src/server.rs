@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use siteselect_locks::{LockTable, QueueDiscipline, WaitForGraph};
 use siteselect_storage::PagedFile;
-use siteselect_types::{ClientId, LockMode, ObjectId, SimTime};
+use siteselect_types::{ClientId, HashSet, LockMode, ObjectId, SimTime};
 
 use crate::sync::{Condvar, Mutex};
 
@@ -68,7 +68,7 @@ struct Inner {
     wfg: WaitForGraph<ClientId>,
     store: PagedFile,
     /// Callbacks already in flight, to avoid duplicates.
-    recalled: std::collections::HashSet<(ObjectId, ClientId)>,
+    recalled: HashSet<(ObjectId, ClientId)>,
     stats: ServerStats,
 }
 
@@ -98,7 +98,7 @@ impl SharedServer {
                 locks: LockTable::new(QueueDiscipline::Deadline),
                 wfg: WaitForGraph::new(),
                 store,
-                recalled: std::collections::HashSet::new(),
+                recalled: HashSet::default(),
                 stats: ServerStats::default(),
             }),
             cv: Condvar::new(),

@@ -17,8 +17,6 @@
 //! layer charges no simulated time and draws no randomness, so fault-free
 //! runs are byte-identical to a build without it.
 
-use std::collections::HashMap;
-
 use siteselect_net::{Delivery, Fabric, MessageKind};
 use siteselect_obs::{Event, EventSink, SpanKind};
 use siteselect_sim::{EventQueue, Prng};
@@ -27,8 +25,8 @@ use siteselect_storage::DiskModel;
 use siteselect_storage::{DurableStore, RecoveryOutcome};
 use siteselect_locks::{Acquire, LockTable, QueueDiscipline, WaitForGraph};
 use siteselect_types::{
-    AbortReason, ExperimentConfig, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId,
-    TransactionId, TransactionSpec, TxnOutcome,
+    AbortReason, ExperimentConfig, HashMap, InlineVec, LockMode, ObjectId, SimDuration, SimTime,
+    SiteId, TransactionId, TransactionSpec, TxnOutcome,
 };
 use siteselect_workload::Trace;
 
@@ -164,7 +162,7 @@ impl CentralizedSim {
             disk: DiskModel::new(cfg.server.disk.page_service_time),
             store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
             specs: Vec::new(),
-            txns: HashMap::new(),
+            txns: HashMap::default(),
             scratch_objs: Vec::new(),
             inflight: 0,
             now: SimTime::ZERO,
@@ -860,9 +858,9 @@ impl CentralizedSim {
             .filter(|(_, t)| self.specs[t.spec as usize].is_expired(self.now))
             .map(|(&k, _)| k)
             .collect();
-        // HashMap iteration order is process-random; the abort cascade
+        // HashMap iteration order is hash order; the abort cascade
         // (lock grants, CPU reschedules) is order-sensitive, so sort to
-        // keep runs reproducible across invocations.
+        // keep runs independent of the hasher.
         dead.sort_unstable();
         for key in dead {
             self.abort_inflight(key, AbortReason::Expired);
@@ -911,8 +909,8 @@ impl CentralizedSim {
             .keys()
             .copied()
             .collect();
-        // HashMap iteration order is process-random; sort so the abort
-        // cascade stays reproducible across invocations.
+        // HashMap iteration order is hash order; sort so the abort
+        // cascade stays independent of the hasher.
         keys.sort_unstable();
         for key in keys {
             let Some(txn) = self.txns.remove(&key) else {

@@ -1831,7 +1831,7 @@ impl ClientServerSim {
             reason = "collected, then sorted before the kill cascade"
         )]
         let mut keys: Vec<TKey> = self.clients[ci].txns.keys().copied().collect();
-        keys.sort_unstable(); // hash order is process-random; kills cascade
+        keys.sort_unstable(); // hash order is arbitrary; kills cascade
         for key in keys {
             self.kill_run_on_crash(ci, key);
         }
@@ -2071,8 +2071,8 @@ impl ClientServerSim {
                 .filter(|(_, r)| r.spec.is_expired(self.now))
                 .map(|(&k, _)| k)
                 .collect();
-            // HashMap order is process-random and the abort cascade is
-            // order-sensitive; sort for cross-invocation reproducibility.
+            // HashMap order is hash order and the abort cascade is
+            // order-sensitive; sort so runs are independent of the hasher.
             expired.sort_unstable();
             for key in expired {
                 self.abort_txn(ci, key, AbortReason::Expired);

@@ -24,7 +24,7 @@
 mod client;
 mod server;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use siteselect_locks::{CallbackTracker, ForwardList, LockTable, QueueDiscipline, WaitForGraph, WindowManager};
 use siteselect_net::{Delivery, Fabric};
@@ -32,7 +32,7 @@ use siteselect_obs::EventSink;
 use siteselect_sim::{EventQueue, Prng};
 use siteselect_storage::{ClientCache, DiskModel, DurableStore, RecoveryOutcome};
 use siteselect_types::{
-    AbortReason, AccessSpec, ClientId, ExperimentConfig, InlineVec, LockMode, ObjectId,
+    AbortReason, AccessSpec, ClientId, ExperimentConfig, HashMap, InlineVec, LockMode, ObjectId,
     ObjectMap, ObjectSet, SimDuration, SimTime, SiteId, SystemKind, TransactionId,
     TransactionSpec, TxnOutcome,
 };
@@ -690,12 +690,12 @@ impl ClientServerSim {
                 local_wfg: WaitForGraph::new(),
                 cpu: EdfCpu::new(cfg.cpu.client_speed),
                 disk: DiskModel::new(cfg.client.disk.page_service_time),
-                txns: HashMap::new(),
-                fetches: HashMap::new(),
-                revokes: HashMap::new(),
+                txns: HashMap::default(),
+                fetches: HashMap::default(),
+                revokes: HashMap::default(),
                 atl_sum: 0.0,
                 atl_count: 0,
-                lock_wait_from: HashMap::new(),
+                lock_wait_from: HashMap::default(),
             })
             .collect();
         let server = ServerState {
@@ -1110,7 +1110,7 @@ mod tests {
     #[test]
     fn subtask_keys_are_distinct_from_parents_and_each_other() {
         let parent = siteselect_types::TransactionId::new(ClientId(3), 77).as_u64();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = siteselect_types::HashSet::default();
         seen.insert(parent);
         for i in 0..10u8 {
             assert!(seen.insert(subtask_key(parent, i)), "collision at {i}");

@@ -1,4 +1,8 @@
-//! D3 negative: seeded generator threaded explicitly.
+//! D3 negative: seeded generator threaded explicitly; hash maps built
+//! over one fixed, seedless hasher.
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 pub struct Prng(u64);
 
 impl Prng {
@@ -11,6 +15,24 @@ impl Prng {
     }
 }
 
+#[derive(Default)]
+pub struct FixedHasher(u64);
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+pub type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<FixedHasher>>;
+
 pub fn roll(seed: u64) -> u64 {
-    Prng::seeded(seed).step()
+    let mut seen: FixedMap<u64, u64> = FixedMap::default();
+    seen.insert(seed, Prng::seeded(seed).step());
+    seen.get(&seed).copied().unwrap_or(0)
 }

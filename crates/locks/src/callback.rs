@@ -10,10 +10,10 @@
 //! answer, so the server knows when the recall completed and the blocked
 //! request can be granted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use siteselect_obs::{Event, EventSink};
-use siteselect_types::{ClientId, LockMode, ObjectId, SimDuration, SimTime, SiteId};
+use siteselect_types::{ClientId, HashMap, LockMode, ObjectId, SimDuration, SimTime, SiteId};
 
 /// Progress of an in-flight recall after one acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,9 +8,7 @@
 //! drives both tables with long random acquire/release/upgrade/downgrade/
 //! cancel sequences and asserts they never diverge.
 
-use std::collections::HashMap;
-
-use siteselect_types::{LockMode, ObjectId, SimTime};
+use siteselect_types::{HashMap, LockMode, ObjectId, SimTime};
 
 use crate::table::{Acquire, LockOwner, QueueDiscipline};
 
@@ -73,8 +71,8 @@ impl<O: LockOwner> RefLockTable<O> {
     pub fn new(discipline: QueueDiscipline) -> Self {
         RefLockTable {
             discipline,
-            objects: HashMap::new(),
-            held_by: HashMap::new(),
+            objects: HashMap::default(),
+            held_by: HashMap::default(),
             next_seq: 0,
         }
     }
@@ -432,25 +430,55 @@ mod property_tests {
         dense.check_invariants().unwrap();
     }
 
-    fn run_property(seed: u64, discipline: QueueDiscipline) {
-        const OBJECTS: u32 = 8;
-        const OWNERS: u16 = 5;
+    /// Table shape and operation mix of one differential run.
+    struct Shape {
+        objects: u32,
+        owners: u16,
+        /// One in this many drawn `release_all`s runs; the rest become
+        /// requests, so owners can build up long held lists.
+        release_all_one_in: u64,
+    }
+
+    /// Few objects and owners: heavy contention, every queue path.
+    const CONTENDED: Shape = Shape {
+        objects: 8,
+        owners: 5,
+        release_all_one_in: 1,
+    };
+
+    /// Owners hold well over 16 locks, so each held list spills past its
+    /// inline capacity and release swap-removes across that boundary.
+    const SPILLING: Shape = Shape {
+        objects: 96,
+        owners: 3,
+        release_all_one_in: 24,
+    };
+
+    /// Runs both tables side by side; returns the longest held list seen.
+    fn run_property(seed: u64, discipline: QueueDiscipline, shape: &Shape) -> usize {
         const STEPS: usize = 4000;
 
         let mut rng = Xorshift(seed);
         let mut dense: LockTable<ClientId> = LockTable::new(discipline);
         let mut oracle: RefLockTable<ClientId> = RefLockTable::new(discipline);
+        let mut longest = 0;
 
         for step in 0..STEPS {
-            let obj = ObjectId(rng.below(u64::from(OBJECTS)) as u32);
-            let owner = ClientId(rng.below(u64::from(OWNERS)) as u16);
+            let obj = ObjectId(rng.below(u64::from(shape.objects)) as u32);
+            let owner = ClientId(rng.below(u64::from(shape.owners)) as u16);
             let mode = if rng.below(2) == 0 {
                 LockMode::Shared
             } else {
                 LockMode::Exclusive
             };
             let deadline = SimTime::from_secs(rng.below(200));
-            match rng.below(10) {
+            let mut op = rng.below(10);
+            // No extra draw at one-in-one, so CONTENDED replays the
+            // original sequences.
+            if op == 6 && shape.release_all_one_in > 1 && rng.below(shape.release_all_one_in) != 0 {
+                op = 0;
+            }
+            match op {
                 0..=3 => {
                     let a = dense.request(obj, owner, mode, deadline);
                     let b = oracle.request(obj, owner, mode, deadline);
@@ -519,21 +547,36 @@ mod property_tests {
                     }
                 }
             }
-            assert_same_state(&dense, &oracle, OBJECTS, OWNERS, step);
+            assert_same_state(&dense, &oracle, shape.objects, shape.owners, step);
+            for c in 0..shape.owners {
+                longest = longest.max(dense.locks_of(ClientId(c)).len());
+            }
         }
+        longest
     }
 
     #[test]
     fn dense_table_matches_hashmap_oracle_fifo() {
         for seed in [0x5173_5e1e, 0xdead_beef, 42] {
-            run_property(seed, QueueDiscipline::Fifo);
+            run_property(seed, QueueDiscipline::Fifo, &CONTENDED);
         }
     }
 
     #[test]
     fn dense_table_matches_hashmap_oracle_deadline() {
         for seed in [0x5173_5e1e, 0xcafe_f00d, 7] {
-            run_property(seed, QueueDiscipline::Deadline);
+            run_property(seed, QueueDiscipline::Deadline, &CONTENDED);
+        }
+    }
+
+    #[test]
+    fn dense_table_matches_hashmap_oracle_past_the_inline_held_list() {
+        for (seed, discipline) in [
+            (0x5173_5e1e, QueueDiscipline::Fifo),
+            (0xcafe_f00d, QueueDiscipline::Deadline),
+        ] {
+            let longest = run_property(seed, discipline, &SPILLING);
+            assert!(longest > 16, "held lists never spilled (longest {longest})");
         }
     }
 }

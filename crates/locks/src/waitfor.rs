@@ -6,9 +6,10 @@
 //! check; [`WaitForGraph::add_waits`] commits the edges once the request is
 //! queued.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
 use std::hash::Hash;
+
+use siteselect_types::{HashMap, HashSet};
 
 /// A directed graph of "waits-for" edges between lock owners.
 ///
@@ -33,7 +34,7 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
     #[must_use]
     pub fn new() -> Self {
         WaitForGraph {
-            edges: HashMap::new(),
+            edges: HashMap::default(),
         }
     }
 
@@ -48,7 +49,7 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
     /// DFS reachability: does `from` reach `to` through wait edges?
     fn reaches(&self, from: N, to: N) -> bool {
         let mut stack = vec![from];
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         while let Some(n) = stack.pop() {
             if n == to {
                 return true;
@@ -144,7 +145,7 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
             .get(&start)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         while let Some(n) = stack.pop() {
             if n == start {
                 return true;

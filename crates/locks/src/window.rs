@@ -6,10 +6,8 @@
 //! simulator schedules a close event when a window opens and harvests the
 //! forward list when it fires.
 
-use std::collections::HashMap;
-
 use siteselect_obs::{Event, EventSink, SpanKind};
-use siteselect_types::{ObjectId, SimDuration, SimTime, SiteId, TransactionId};
+use siteselect_types::{HashMap, ObjectId, SimDuration, SimTime, SiteId, TransactionId};
 
 use crate::forward::{ForwardEntry, ForwardList};
 
@@ -69,7 +67,7 @@ impl WindowManager {
     pub fn new(window: SimDuration) -> Self {
         WindowManager {
             window,
-            open: HashMap::new(),
+            open: HashMap::default(),
             total_opened: 0,
             total_requests: 0,
             sink: EventSink::disabled(),

@@ -1,10 +1,10 @@
 //! Delivery-time computation over the shared or switched LAN.
 
-use std::collections::{HashMap, HashSet};
-
 use siteselect_obs::{Event, EventSink};
 use siteselect_sim::Prng;
-use siteselect_types::{FaultConfig, LanKind, NetworkConfig, SimDuration, SimTime, SiteId};
+use siteselect_types::{
+    FaultConfig, HashMap, HashSet, LanKind, NetworkConfig, SimDuration, SimTime, SiteId,
+};
 
 use crate::message::MessageKind;
 use crate::stats::MessageStats;
@@ -80,7 +80,7 @@ impl Fabric {
             cfg,
             object_bytes,
             shared_busy_until: SimTime::ZERO,
-            link_busy_until: HashMap::new(),
+            link_busy_until: HashMap::default(),
             stats: MessageStats::new(),
             faults: None,
             sink: EventSink::disabled(),
@@ -100,10 +100,10 @@ impl Fabric {
         self.faults = Some(FaultState {
             cfg,
             prng,
-            down: HashSet::new(),
+            down: HashSet::default(),
             dropped: 0,
             delayed: 0,
-            last_delivery: HashMap::new(),
+            last_delivery: HashMap::default(),
         });
     }
 
@@ -111,10 +111,10 @@ impl Fabric {
         self.faults.get_or_insert_with(|| FaultState {
             cfg: FaultConfig::default(),
             prng: Prng::seed_from_u64(0),
-            down: HashSet::new(),
+            down: HashSet::default(),
             dropped: 0,
             delayed: 0,
-            last_delivery: HashMap::new(),
+            last_delivery: HashMap::default(),
         })
     }
 

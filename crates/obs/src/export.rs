@@ -4,10 +4,9 @@
 //! only integers and `Display`-stable identifier strings, so output is
 //! byte-identical across runs at the same seed.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use siteselect_types::{SimTime, SiteId, TransactionId};
+use siteselect_types::{HashMap, SimTime, SiteId, TransactionId};
 
 use crate::event::Event;
 use crate::sink::TraceRecord;
@@ -74,9 +73,9 @@ pub fn site_pid(site: SiteId) -> u32 {
 /// payload.
 #[must_use]
 pub fn chrome_trace(records: &[TraceRecord]) -> String {
-    let mut submits: HashMap<TransactionId, SimTime> = HashMap::new();
-    let mut crashed: HashMap<SiteId, SimTime> = HashMap::new();
-    let mut replayed: HashMap<SiteId, SimTime> = HashMap::new();
+    let mut submits: HashMap<TransactionId, SimTime> = HashMap::default();
+    let mut crashed: HashMap<SiteId, SimTime> = HashMap::default();
+    let mut replayed: HashMap<SiteId, SimTime> = HashMap::default();
     let mut out = String::with_capacity(records.len() * 160 + 64);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;

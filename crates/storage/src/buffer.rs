@@ -7,6 +7,7 @@ use std::fmt;
 use siteselect_types::{ObjectId, ObjectMap};
 
 use crate::disk::DiskFile;
+use crate::lru::LruList;
 use crate::page::Page;
 
 /// Replacement policy for unpinned frames.
@@ -73,7 +74,6 @@ struct Frame {
     page: Page,
     pin_count: u32,
     dirty: bool,
-    last_used: u64,
     referenced: bool,
 }
 
@@ -82,6 +82,9 @@ struct Frame {
 /// Frames are identified by index handles returned from
 /// [`BufferManager::fetch`]. A frame with a positive pin count is never
 /// evicted; dirty frames are written back to disk when evicted or flushed.
+/// Empty frames fill in index order and, once filled, stay occupied. LRU
+/// order is a recency list over frame indices that only `fetch` bumps, so
+/// the victim is the first unpinned frame from its LRU end.
 ///
 /// # Example
 ///
@@ -101,7 +104,9 @@ pub struct BufferManager {
     policy: Replacement,
     frames: Vec<Option<Frame>>,
     map: ObjectMap<usize>,
-    tick: u64,
+    // Frames `0..filled` are occupied.
+    filled: usize,
+    recency: LruList,
     clock_hand: usize,
     stats: BufferStats,
 }
@@ -115,12 +120,15 @@ impl BufferManager {
     #[must_use]
     pub fn new(capacity: usize, policy: Replacement) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
+        let mut recency = LruList::new();
+        recency.reserve_ids(capacity);
         BufferManager {
             capacity,
             policy,
             frames: (0..capacity).map(|_| None).collect(),
             map: ObjectMap::new(),
-            tick: 0,
+            filled: 0,
+            recency,
             clock_hand: 0,
             stats: BufferStats::default(),
         }
@@ -169,12 +177,11 @@ impl BufferManager {
         reason = "map only names occupied frames, find_victim returns an in-range free frame, and contains() was checked"
     )]
     pub fn fetch(&mut self, id: ObjectId, disk: &mut DiskFile) -> Result<usize, BufferError> {
-        self.tick += 1;
         if let Some(&idx) = self.map.get(id) {
             let frame = self.frames[idx].as_mut().expect("mapped frame occupied");
             frame.pin_count += 1;
-            frame.last_used = self.tick;
             frame.referenced = true;
+            self.recency.touch(idx as u32);
             self.stats.hits += 1;
             return Ok(idx);
         }
@@ -187,9 +194,9 @@ impl BufferManager {
             page,
             pin_count: 1,
             dirty: false,
-            last_used: self.tick,
             referenced: true,
         });
+        self.recency.push_mru(idx as u32);
         self.map.insert(id, idx);
         self.stats.misses += 1;
         Ok(idx)
@@ -198,24 +205,22 @@ impl BufferManager {
     #[expect(
         clippy::expect_used,
         clippy::indexing_slicing,
-        reason = "the buffer is full (no empty frame was found) and victims come from its index range"
+        reason = "the buffer is full and victims come from its index range"
     )]
     fn find_victim(&mut self, disk: &mut DiskFile) -> Result<usize, BufferError> {
         // Prefer an empty frame.
-        if let Some(idx) = self.frames.iter().position(Option::is_none) {
-            return Ok(idx);
+        if self.filled < self.capacity {
+            self.filled += 1;
+            return Ok(self.filled - 1);
         }
         let victim = match self.policy {
-            Replacement::Lru => self
-                .frames
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| {
-                    let f = f.as_ref().expect("full buffer");
-                    (f.pin_count == 0).then_some((f.last_used, i))
-                })
-                .min()
-                .map(|(_, i)| i),
+            Replacement::Lru => {
+                let frames = &self.frames;
+                self.recency
+                    .iter()
+                    .map(|i| i as usize)
+                    .find(|&i| frames[i].as_ref().is_some_and(|f| f.pin_count == 0))
+            }
             Replacement::Clock => self.clock_sweep(),
         };
         let idx = victim.ok_or(BufferError::AllFramesPinned)?;
@@ -477,6 +482,205 @@ mod tests {
         assert_eq!(buf.pin_count(f), Some(2));
         buf.unpin(f).unwrap();
         assert_eq!(buf.pin_count(f), Some(1));
+    }
+
+    /// The replacement rules in their plainest form: the lowest empty
+    /// frame first, then the unpinned frame with the smallest fetch stamp
+    /// (LRU) or a second-chance sweep (Clock), both by scanning every frame.
+    #[derive(Clone)]
+    struct NaiveFrame {
+        page: Page,
+        pins: u32,
+        dirty: bool,
+        stamp: u64,
+        referenced: bool,
+    }
+
+    struct NaiveBuffer {
+        policy: Replacement,
+        frames: Vec<Option<NaiveFrame>>,
+        tick: u64,
+        hand: usize,
+        stats: BufferStats,
+    }
+
+    impl NaiveBuffer {
+        fn new(capacity: usize, policy: Replacement) -> Self {
+            NaiveBuffer {
+                policy,
+                frames: vec![None; capacity],
+                tick: 0,
+                hand: 0,
+                stats: BufferStats::default(),
+            }
+        }
+
+        fn fetch(&mut self, id: ObjectId, disk: &mut DiskFile) -> Result<usize, BufferError> {
+            self.tick += 1;
+            let hit = self
+                .frames
+                .iter()
+                .position(|f| f.as_ref().is_some_and(|f| f.page.id() == id));
+            if let Some(idx) = hit {
+                let f = self.frames[idx].as_mut().unwrap();
+                f.pins += 1;
+                f.stamp = self.tick;
+                f.referenced = true;
+                self.stats.hits += 1;
+                return Ok(idx);
+            }
+            if !disk.contains(id) {
+                return Err(BufferError::NoSuchPage(id));
+            }
+            let idx = match self.frames.iter().position(Option::is_none) {
+                Some(idx) => idx,
+                None => {
+                    let victim = match self.policy {
+                        Replacement::Lru => self
+                            .frames
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, f)| f.as_ref().unwrap().pins == 0)
+                            .min_by_key(|(_, f)| f.as_ref().unwrap().stamp)
+                            .map(|(i, _)| i),
+                        Replacement::Clock => self.sweep(),
+                    };
+                    let idx = victim.ok_or(BufferError::AllFramesPinned)?;
+                    let victim = self.frames[idx].take().unwrap();
+                    self.stats.evictions += 1;
+                    if victim.dirty {
+                        disk.write(&victim.page);
+                        self.stats.writebacks += 1;
+                    }
+                    idx
+                }
+            };
+            let page = disk.read(id).unwrap();
+            self.frames[idx] = Some(NaiveFrame {
+                page,
+                pins: 1,
+                dirty: false,
+                stamp: self.tick,
+                referenced: true,
+            });
+            self.stats.misses += 1;
+            Ok(idx)
+        }
+
+        fn sweep(&mut self) -> Option<usize> {
+            let n = self.frames.len();
+            for _ in 0..2 * n {
+                let idx = self.hand;
+                self.hand = (self.hand + 1) % n;
+                let f = self.frames[idx].as_mut().unwrap();
+                if f.pins > 0 {
+                    continue;
+                }
+                if f.referenced {
+                    f.referenced = false;
+                } else {
+                    return Some(idx);
+                }
+            }
+            None
+        }
+
+        fn frame(&mut self, idx: usize) -> Result<&mut NaiveFrame, BufferError> {
+            self.frames
+                .get_mut(idx)
+                .and_then(Option::as_mut)
+                .ok_or(BufferError::BadFrame)
+        }
+    }
+
+    fn differential_run(policy: Replacement, seed: u64) {
+        const PAGES: u32 = 24;
+        const FRAMES: usize = 6;
+        let mut state = seed;
+        let mut rng = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut disk = DiskFile::with_patterned_pages(PAGES);
+        let mut model_disk = disk.clone();
+        let mut buf = BufferManager::new(FRAMES, policy);
+        let mut model = NaiveBuffer::new(FRAMES, policy);
+        for step in 0..5000u64 {
+            let frame = rng(FRAMES as u64 + 1) as usize;
+            match rng(20) {
+                0..=7 => {
+                    // Mostly resident-range ids, a few past the file's end.
+                    let id = ObjectId(rng(u64::from(PAGES) + 2) as u32);
+                    let got = buf.fetch(id, &mut disk);
+                    let want = model.fetch(id, &mut model_disk);
+                    assert_eq!(got, want, "fetch at step {step}");
+                }
+                8..=14 => {
+                    let want = model.frame(frame).and_then(|f| {
+                        if f.pins == 0 {
+                            return Err(BufferError::BadFrame);
+                        }
+                        f.pins -= 1;
+                        Ok(())
+                    });
+                    assert_eq!(buf.unpin(frame), want, "unpin at step {step}");
+                }
+                15 => {
+                    let want = model.frame(frame).map(|f| f.pins += 1);
+                    assert_eq!(buf.pin(frame), want, "pin at step {step}");
+                }
+                16..=18 => {
+                    let want = model.frame(frame).map(|f| {
+                        f.page.write_u64_at(0, step);
+                        f.dirty = true;
+                    });
+                    if let Some(page) = buf.page_mut(frame) {
+                        page.write_u64_at(0, step);
+                    }
+                    assert_eq!(buf.mark_dirty(frame), want, "mark_dirty at step {step}");
+                }
+                _ => {
+                    buf.flush_all(&mut disk);
+                    for f in model.frames.iter_mut().flatten() {
+                        if f.dirty {
+                            model_disk.write(&f.page);
+                            f.dirty = false;
+                            model.stats.writebacks += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(buf.stats(), model.stats, "stats at step {step}");
+            assert_eq!(disk.stats(), model_disk.stats(), "disk I/O at step {step}");
+            for idx in 0..FRAMES {
+                let want = model.frames[idx].as_ref();
+                let (page, pins) = (want.map(|f| &f.page), want.map(|f| f.pins));
+                assert_eq!(buf.page(idx), page, "frame {idx} at step {step}");
+                assert_eq!(buf.pin_count(idx), pins, "pins of {idx} at step {step}");
+            }
+            for id in 0..PAGES {
+                let id = ObjectId(id);
+                let want = model_disk.peek(id);
+                assert_eq!(disk.peek(id), want, "disk page {id} at step {step}");
+            }
+        }
+        assert!(buf.stats().evictions > 100 && buf.stats().writebacks > 10);
+    }
+
+    #[test]
+    fn lru_matches_the_naive_min_stamp_model() {
+        for seed in [0x5173_5e1e, 0xcafe_f00d, 7] {
+            differential_run(Replacement::Lru, seed);
+        }
+    }
+
+    #[test]
+    fn clock_matches_the_naive_sweep_model() {
+        for seed in [0x5173_5e1e, 0xdead_beef, 42] {
+            differential_run(Replacement::Clock, seed);
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 
 use siteselect_types::ObjectId;
 
+use crate::lru::LruList;
+
 /// Which tier a probe found the object in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheTier {
@@ -48,116 +50,35 @@ impl ClientCacheStats {
     }
 }
 
-/// Link sentinel: "no neighbour" / "not a member".
-const NIL: u32 = u32::MAX;
-
-/// One intrusive list node, indexed by object id.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    prev: u32,
-    next: u32,
-    live: bool,
-}
-
-impl Default for Node {
-    fn default() -> Self {
-        Node {
-            prev: NIL,
-            next: NIL,
-            live: false,
-        }
-    }
-}
-
-/// A deterministic LRU set with O(1) operations: an intrusive doubly-
-/// linked recency list threaded through a dense id-indexed slot vector.
-/// The list runs LRU (head) to MRU (tail); a touch unlinks the node and
-/// re-links it at the tail, all by index arithmetic — no tree rebalance,
-/// no per-operation allocation. (The previous `BTreeMap` stamp index paid
-/// a node-churning remove+insert on every probe, which made the cache the
-/// hottest line of the client–server engines.)
-#[derive(Debug, Default, Clone)]
+/// One cache tier: a capacity-bounded [`LruList`] over object ids.
+#[derive(Debug, Clone)]
 struct LruSet {
     capacity: usize,
-    nodes: Vec<Node>,
-    head: u32,
-    tail: u32,
-    len: usize,
+    list: LruList,
 }
 
 impl LruSet {
     fn new(capacity: usize) -> Self {
         LruSet {
             capacity,
-            nodes: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
+            list: LruList::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.list.len()
     }
 
     fn contains(&self, id: ObjectId) -> bool {
-        self.nodes
-            .get(id.index() as usize)
-            .is_some_and(|n| n.live)
-    }
-
-    /// Detaches a live node from the recency list (leaves `live` set).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "node indices come from the slab and NIL links are matched out before indexing"
-    )]
-    fn unlink(&mut self, idx: u32) {
-        let Node { prev, next, .. } = self.nodes[idx as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    /// Attaches a node at the MRU tail.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "node indices come from the slab and NIL links are matched out before indexing"
-    )]
-    fn link_tail(&mut self, idx: u32) {
-        let node = &mut self.nodes[idx as usize];
-        node.live = true;
-        node.next = NIL;
-        node.prev = self.tail;
-        match self.tail {
-            NIL => self.head = idx,
-            t => self.nodes[t as usize].next = idx,
-        }
-        self.tail = idx;
+        self.list.contains(id.index())
     }
 
     fn touch(&mut self, id: ObjectId) -> bool {
-        let idx = id.index();
-        if !self.contains(id) {
-            return false;
-        }
-        if self.tail != idx {
-            self.unlink(idx);
-            self.link_tail(idx);
-        }
-        true
+        self.list.touch(id.index())
     }
 
     /// Inserts `id` as most-recently-used; returns the evicted LRU element
     /// if the set was full.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "node indices come from the slab and NIL links are matched out before indexing"
-    )]
     fn insert(&mut self, id: ObjectId) -> Option<ObjectId> {
         if self.capacity == 0 {
             return Some(id);
@@ -165,62 +86,28 @@ impl LruSet {
         if self.touch(id) {
             return None;
         }
-        let victim = if self.len >= self.capacity {
-            let lru = self.head;
-            self.unlink(lru);
-            self.nodes[lru as usize].live = false;
-            self.len -= 1;
-            Some(ObjectId(lru))
+        let victim = if self.len() >= self.capacity {
+            self.list.pop_lru().map(ObjectId)
         } else {
             None
         };
-        let idx = id.index() as usize;
-        if idx >= self.nodes.len() {
-            self.nodes.resize(idx + 1, Node::default());
-        }
-        self.link_tail(id.index());
-        self.len += 1;
+        self.list.push_mru(id.index());
         victim
     }
 
     /// Pre-sizes the node slab for ids `0..n` so later inserts never grow
     /// it (keeps first-touch insertions off the allocator).
     fn reserve_ids(&mut self, n: usize) {
-        if self.nodes.len() < n {
-            self.nodes.resize(n, Node::default());
-        }
+        self.list.reserve_ids(n);
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "node indices come from the slab and NIL links are matched out before indexing"
-    )]
     fn remove(&mut self, id: ObjectId) -> bool {
-        if !self.contains(id) {
-            return false;
-        }
-        let idx = id.index();
-        self.unlink(idx);
-        self.nodes[idx as usize].live = false;
-        self.len -= 1;
-        true
+        self.list.remove(id.index())
     }
 
     /// Members from LRU to MRU.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "node indices come from the slab and NIL links are matched out before indexing"
-    )]
     fn iter(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        let mut cur = self.head;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let id = cur;
-            cur = self.nodes[cur as usize].next;
-            Some(ObjectId(id))
-        })
+        self.list.iter().map(ObjectId)
     }
 }
 

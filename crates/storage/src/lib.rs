@@ -40,6 +40,7 @@
 pub mod buffer;
 pub mod cache;
 pub mod disk;
+mod lru;
 pub mod model;
 pub mod page;
 pub mod pagedfile;

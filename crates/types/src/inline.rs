@@ -172,6 +172,29 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         out
     }
 
+    /// Removes and returns the element at `pos`, moving the last element
+    /// into its place. O(1); does not preserve order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len`.
+    pub fn swap_remove(&mut self, pos: usize) -> T {
+        assert!(pos < self.len, "swap_remove position out of bounds");
+        let last = self.len - 1;
+        let tail = if last >= N {
+            self.spill.pop().expect("spilled tail present")
+        } else {
+            self.inline[last].take().expect("in-bounds inline slot")
+        };
+        self.len = last;
+        if pos == last {
+            return tail;
+        }
+        let out = self.get_copy(pos);
+        self.set(pos, tail);
+        out
+    }
+
     /// Keeps only the elements for which `keep` returns true, preserving
     /// order. Allocation-free.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
@@ -270,6 +293,19 @@ mod tests {
     }
 
     #[test]
+    fn swap_remove_matches_vec_at_every_position() {
+        for pos in 0..5 {
+            let mut iv: InlineVec<u32, 2> = InlineVec::new();
+            let mut model = vec![10, 11, 12, 13, 14];
+            for &v in &model {
+                iv.push(v);
+            }
+            assert_eq!(iv.swap_remove(pos), model.swap_remove(pos));
+            check_equals(&iv, &model);
+        }
+    }
+
+    #[test]
     fn retain_matches_vec() {
         let mut iv: InlineVec<u32, 2> = InlineVec::new();
         let mut model: Vec<u32> = (0..9).collect();
@@ -327,7 +363,7 @@ mod tests {
         let mut iv: InlineVec<u32, 2> = InlineVec::new();
         let mut model: Vec<u32> = Vec::new();
         for step in 0..2000 {
-            match rng() % 4 {
+            match rng() % 5 {
                 0 => {
                     iv.push(step);
                     model.push(step);
@@ -340,6 +376,10 @@ mod tests {
                 2 if !model.is_empty() => {
                     let pos = (rng() as usize) % model.len();
                     assert_eq!(iv.remove(pos), model.remove(pos));
+                }
+                4 if !model.is_empty() => {
+                    let pos = (rng() as usize) % model.len();
+                    assert_eq!(iv.swap_remove(pos), model.swap_remove(pos));
                 }
                 3 => {
                     let bit = rng() % 2 == 0;

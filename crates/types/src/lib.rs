@@ -24,6 +24,7 @@
 pub mod config;
 pub mod dense;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod inline;
 pub mod lock;
@@ -37,6 +38,7 @@ pub use config::{
 };
 pub use dense::{ObjectMap, ObjectSet};
 pub use error::ConfigError;
+pub use hash::{HashMap, HashSet};
 pub use ids::{ClientId, ObjectId, SiteId, SubtaskId, TransactionId};
 pub use inline::InlineVec;
 pub use lock::LockMode;

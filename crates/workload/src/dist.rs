@@ -1,10 +1,10 @@
 //! Distributions beyond the kernel's primitives: the Zipf law used for the
 //! skewed portion of Localized-RW accesses.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use siteselect_sim::Prng;
+use siteselect_types::HashMap;
 
 /// A Zipf(θ) sampler over ranks `0..n` via a precomputed CDF and binary
 /// search — exact, deterministic, and fast enough for the database sizes in
@@ -38,7 +38,7 @@ type CdfCache = Mutex<HashMap<(usize, u64), Arc<[f64]>>>;
 
 fn cdf_cache() -> &'static CdfCache {
     static CACHE: OnceLock<CdfCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    CACHE.get_or_init(|| Mutex::new(HashMap::default()))
 }
 
 const CDF_CACHE_CAP: usize = 64;

@@ -52,7 +52,7 @@ fn read_only_workload_never_recalls_data() {
 #[test]
 fn final_store_versions_match_committed_writes() {
     use siteselect::cluster::Op;
-    use std::collections::HashMap;
+    use siteselect::types::HashMap;
     let mut cfg = ClusterConfig {
         clients: 6,
         db_objects: 32,
@@ -69,7 +69,7 @@ fn final_store_versions_match_committed_writes() {
     // Count committed writes per object: every write bumped the version by
     // one, and the shutdown flush pushed all dirty pages home, so the
     // maximum committed transition must be visible in the history itself.
-    let mut writes: HashMap<_, u64> = HashMap::new();
+    let mut writes: HashMap<_, u64> = HashMap::default();
     for op in report.history.snapshot() {
         if let Op::Write { object, from, .. } = op {
             let e = writes.entry(object).or_insert(0);
@@ -79,7 +79,7 @@ fn final_store_versions_match_committed_writes() {
     // Monotone versions: for every object the set of transitions is exactly
     // 0..max (no gaps, no duplicates — duplicates are caught by the
     // checker, gaps would mean a lost update).
-    let mut seen: HashMap<_, Vec<u64>> = HashMap::new();
+    let mut seen: HashMap<_, Vec<u64>> = HashMap::default();
     for op in report.history.snapshot() {
         if let Op::Write { object, from, .. } = op {
             seen.entry(object).or_default().push(from + 1);

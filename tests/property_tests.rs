@@ -500,12 +500,12 @@ fn histogram_quantiles_are_monotone_and_bounded() {
 }
 
 // ------------------------------------------------------------------
-// Dense object-indexed containers vs the std HashMap/HashSet oracle.
+// Dense object-indexed containers vs the HashMap/HashSet oracle.
 // ------------------------------------------------------------------
 
 use siteselect::types::InlineVec;
+use siteselect::types::{HashMap, HashSet};
 use siteselect::types::{ObjectMap, ObjectSet};
-use std::collections::{HashMap, HashSet};
 
 /// Ids biased toward the interesting spots: the empty low end, a single
 /// slot, and both sides of each growth boundary the slot vector crosses.
@@ -546,7 +546,7 @@ fn object_map_matches_hashmap_oracle() {
         } else {
             ObjectMap::with_capacity(rng.below_usize(65))
         };
-        let mut model: HashMap<u32, u64> = HashMap::new();
+        let mut model: HashMap<u32, u64> = HashMap::default();
         for step in 0..1 + rng.below(99) {
             let id = dense_id(&mut rng);
             match rng.below(6) {
@@ -595,7 +595,7 @@ fn object_set_matches_hashset_oracle() {
     for case in 0..CASES {
         let mut rng = Prng::seed_from_u64(0xDE45_5E70 + case);
         let mut s = ObjectSet::new();
-        let mut model: HashSet<u32> = HashSet::new();
+        let mut model: HashSet<u32> = HashSet::default();
         for _ in 0..1 + rng.below(99) {
             let id = dense_id(&mut rng);
             match rng.below(4) {
@@ -652,7 +652,11 @@ fn inline_vec_spill_unspill_round_trips() {
                 }
             } else if rng.bernoulli(0.8) {
                 let pos = rng.below_usize(want.len());
-                assert_eq!(iv.remove(pos), want.remove(pos));
+                if rng.bernoulli(0.5) {
+                    assert_eq!(iv.remove(pos), want.remove(pos));
+                } else {
+                    assert_eq!(iv.swap_remove(pos), want.swap_remove(pos));
+                }
             } else {
                 let keep = rng.below(3);
                 iv.retain(|v| v % 3 != keep);
@@ -671,7 +675,11 @@ fn inline_vec_spill_unspill_round_trips() {
         // the round trip must leave no stale inline or spill state behind.
         while !want.is_empty() {
             let pos = rng.below_usize(want.len());
-            assert_eq!(iv.remove(pos), want.remove(pos));
+            if rng.bernoulli(0.5) {
+                assert_eq!(iv.remove(pos), want.remove(pos));
+            } else {
+                assert_eq!(iv.swap_remove(pos), want.swap_remove(pos));
+            }
             assert_eq!(iv.to_vec(), want);
         }
         assert!(iv.is_empty());
