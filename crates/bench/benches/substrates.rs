@@ -34,7 +34,7 @@ fn bench_wait_for_graph() {
         for i in 0..49u16 {
             g.add_waits(i, [i + 1]);
         }
-        b.iter(|| black_box(g.would_deadlock(49, &[0])));
+        b.iter(|| black_box(g.would_deadlock(49, [0])));
     });
 }
 

@@ -2,17 +2,17 @@
 //! objects and locks, local EDF execution, callback handling with
 //! downgrade, forward-list hops, shipping and decomposition.
 
-use siteselect_locks::{Acquire, ForwardList};
+use siteselect_locks::{Acquire, ForwardList, Granted};
 use siteselect_net::MessageKind;
 use siteselect_storage::CacheTier;
 use siteselect_types::{
-    AbortReason, AccessSpec, ClientId, LockMode, ObjectId, SimTime, SiteId, TransactionId,
-    TxnOutcome,
+    AbortReason, AccessSpec, ClientId, InlineVec, LockMode, ObjectId, SimTime, SiteId,
+    TransactionId, TransactionSpec, TxnOutcome,
 };
 
 use super::{
-    subtask_key, ClientServerSim, Ev, Fetch, InfoReason, Msg, Need, Revoke, RunKind, RunState,
-    SiteDest, TKey, TxnRun, Want,
+    subtask_key, ClientServerSim, Ev, Fetch, InfoReason, Located, Msg, Need, Revoke, RunKind,
+    RunState, SiteDest, TKey, TxnRun, Want,
 };
 
 /// Fraction of a decomposed transaction's CPU demand spent synthesizing the
@@ -70,7 +70,13 @@ impl ClientServerSim {
         reason = "i indexes specs, the generated workload, which is fixed for the run"
     )]
     pub(crate) fn on_arrive(&mut self, i: usize) {
-        let spec = self.specs[i].clone();
+        // Each spec arrives exactly once, so it moves out of the workload
+        // instead of being copied.
+        let slot = &mut self.specs[i];
+        let spec = TransactionSpec {
+            accesses: std::mem::take(&mut slot.accesses),
+            ..*slot
+        };
         let key = spec.id.as_u64();
         let ci = spec.origin.index();
         if !self.site_up(spec.origin) {
@@ -140,12 +146,13 @@ impl ClientServerSim {
                 });
                 ok
             };
-            let objects: Vec<ObjectId> = run.spec.objects().collect();
             if !feasible {
                 if self.measured_arrival(run.spec.arrival) {
                     self.metrics.load_sharing.h1_rejections += 1;
                 }
                 let origin = run.spec.origin;
+                let mut objects = self.pools.objects.take();
+                objects.extend(run.spec.objects());
                 let mut run = run;
                 run.state = RunState::AwaitInfo {
                     reason: InfoReason::H1Infeasible,
@@ -163,6 +170,8 @@ impl ClientServerSim {
             if run.spec.decomposable && ls_cfg.decomposition_enabled && run.spec.accesses.len() > 1
             {
                 let origin = run.spec.origin;
+                let mut objects = self.pools.objects.take();
+                objects.extend(run.spec.objects());
                 let mut run = run;
                 run.state = RunState::AwaitInfo {
                     reason: InfoReason::Decompose,
@@ -196,14 +205,16 @@ impl ClientServerSim {
         let Some(run) = self.clients[ci].txns.get(&key) else {
             return;
         };
-        let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
+        // A transaction touches 5–15 objects: copy its accesses inline so
+        // the loop below can mutate the simulator.
+        let accesses: InlineVec<AccessSpec, 16> = run.spec.accesses.iter().copied().collect();
         let measured = self.measured_arrival(run.spec.arrival);
         let deadline = run.spec.deadline;
         if let Some(run) = self.clients[ci].txns.get_mut(&key) {
             run.state = RunState::Acquiring;
             run.acquire_started = self.now;
         }
-        let mut wants: Vec<Want> = Vec::new();
+        let mut wants = self.pools.wants.take();
         for a in accesses {
             let mode = a.mode();
             // Table 2 accounting: a hit is data present in either tier.
@@ -224,6 +235,7 @@ impl ClientServerSim {
             if usable {
                 let promote = tier == Some(CacheTier::Disk);
                 if self.request_local_lock(ci, key, a.object, mode, promote) {
+                    self.pools.wants.give(wants);
                     return; // transaction aborted (local deadlock)
                 }
             } else {
@@ -237,6 +249,7 @@ impl ClientServerSim {
             }
         }
         if wants.is_empty() {
+            self.pools.wants.give(wants);
             self.check_ready(ci, key);
             return;
         }
@@ -279,7 +292,7 @@ impl ClientServerSim {
     ) -> Option<Want> {
         let c = &mut self.clients[ci];
         if let Some(f) = c.fetches.get_mut(&object) {
-            if !f.waiters.contains(&key) {
+            if !f.waiters.iter().any(|&k| k == key) {
                 f.waiters.push(key);
             }
             if f.mode.covers(mode) {
@@ -294,12 +307,14 @@ impl ClientServerSim {
             // when the weak grant resolves (see resolve_fetch).
             return None;
         }
+        let mut waiters = InlineVec::new();
+        waiters.push(key);
         c.fetches.insert(
             object,
             Fetch {
                 mode,
                 sent_at: self.now,
-                waiters: vec![key],
+                waiters,
                 sent: true,
                 attempts: 0,
             },
@@ -440,11 +455,15 @@ impl ClientServerSim {
         let ci = to.index();
         match msg {
             Msg::GrantBatch { items } => {
-                for (object, mode, with_data) in items {
+                for &(object, mode, with_data) in &items {
                     self.resolve_fetch(ci, object, mode, with_data);
                 }
+                self.pools.items.give(items);
             }
-            Msg::ConflictReport { txn, conflicts } => self.on_conflict_report(ci, txn, conflicts),
+            Msg::ConflictReport { txn, conflicts } => {
+                self.on_conflict_report(ci, txn, &conflicts);
+                self.pools.located.give(conflicts);
+            }
             Msg::Rejected { txn, expired } => {
                 let reason = if expired {
                     AbortReason::Expired
@@ -578,7 +597,11 @@ impl ClientServerSim {
                 txn,
                 locations,
                 loads,
-            } => self.on_load_reply(ci, txn, locations, loads),
+            } => {
+                self.on_load_reply(ci, txn, &locations, &loads);
+                self.pools.located.give(locations);
+                self.pools.loads.give(loads);
+            }
             // Server-bound messages never arrive here.
             Msg::RequestBatch { .. }
             | Msg::ObjectReturn { .. }
@@ -671,22 +694,33 @@ impl ClientServerSim {
                 if let Some(w) =
                     self.join_fetch(ci, key, object, need_mode, needs_data, deadline)
                 {
-                    let client = self.clients[ci].id;
-                    self.send_to_server(
-                        client,
-                        MessageKind::ObjectRequest,
-                        0,
-                        1,
-                        Msg::RequestBatch {
-                            txn: key,
-                            client,
-                            wants: vec![w],
-                            grant_all: false,
-                        },
-                    );
+                    self.send_want(ci, key, w);
                 }
             }
         }
+    }
+
+    /// Sends one want on its own (a re-request outside the transaction's
+    /// initial batch).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
+    )]
+    fn send_want(&mut self, ci: usize, key: TKey, w: Want) {
+        let client = self.clients[ci].id;
+        let wants = self.pools.wants.one(w);
+        self.send_to_server(
+            client,
+            MessageKind::ObjectRequest,
+            0,
+            1,
+            Msg::RequestBatch {
+                txn: key,
+                client,
+                wants,
+                grant_all: false,
+            },
+        );
     }
 
     /// LS: the grant-all round failed; run H2 and either ship the
@@ -699,7 +733,7 @@ impl ClientServerSim {
         &mut self,
         ci: usize,
         key: TKey,
-        conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
+        conflicts: &[Located],
     ) {
         let Some(run) = self.clients[ci].txns.get(&key) else {
             return;
@@ -713,7 +747,6 @@ impl ClientServerSim {
         let shipped = !matches!(run.kind, RunKind::Normal);
         let self_id = self.clients[ci].id;
         let txn = run.spec.id;
-        let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
         // H2 decision wait: the grant-all round from batch send to this
         // conflict report.
         self.emit_span(
@@ -724,9 +757,10 @@ impl ClientServerSim {
             None,
         );
         if self.cfg.load_sharing.h2_enabled && !shipped {
-            let best = Self::h2_choose(self_id, &accesses, &conflicts, &[]);
+            let accesses = run.spec.accesses.as_slice();
+            let best = Self::h2_choose(self_id, accesses, conflicts, &[]);
             self.sink.emit(self.now, SiteId::Client(self_id), || {
-                Self::h2_choose_event(txn, self_id, best, &accesses, &conflicts)
+                Self::h2_choose_event(txn, self_id, best, accesses, conflicts)
             });
             // Ship only when the destination substantially reduces the
             // conflicting-lock count and already caches a significant share
@@ -735,12 +769,12 @@ impl ClientServerSim {
             // data is already cached at another site"). Shipping cancels
             // the requests the server has queued on our behalf.
             let ls = self.cfg.load_sharing;
-            let best_score = Self::h2_score(best, &accesses, &conflicts) as f64;
-            let origin_score = Self::h2_score(self_id, &accesses, &conflicts) as f64;
+            let best_score = Self::h2_score(best, accesses, conflicts) as f64;
+            let origin_score = Self::h2_score(self_id, accesses, conflicts) as f64;
             if best != self_id
                 && self.site_up(best)
                 && best_score <= ls.ship_conflict_ratio * origin_score
-                && Self::holds_fraction(best, &accesses, &conflicts) >= ls.ship_locality_min
+                && Self::holds_fraction(best, accesses, conflicts) >= ls.ship_locality_min
             {
                 self.ship_txn(ci, key, best);
                 return;
@@ -756,23 +790,29 @@ impl ClientServerSim {
         self.check_ready(ci, key);
     }
 
+    /// The sites H2 scores, in evaluation order: the origin first, then
+    /// every reported holder as discovered.
+    fn h2_candidates(origin: ClientId, locations: &[Located]) -> InlineVec<ClientId, 8> {
+        let mut candidates = InlineVec::new();
+        candidates.push(origin);
+        for &(_, c, _) in locations {
+            if !candidates.iter().any(|&k| k == c) {
+                candidates.push(c);
+            }
+        }
+        candidates
+    }
+
     /// Builds the `H2Choose` trace event: every scored candidate in
-    /// evaluation order (origin first, then holders as discovered).
+    /// evaluation order.
     fn h2_choose_event(
         txn: siteselect_types::TransactionId,
         origin: ClientId,
         chosen: ClientId,
         accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
+        locations: &[Located],
     ) -> siteselect_obs::Event {
-        let mut candidates: Vec<ClientId> = vec![origin];
-        for (_, holders) in locations {
-            for &(c, _) in holders {
-                if !candidates.contains(&c) {
-                    candidates.push(c);
-                }
-            }
-        }
+        let candidates = Self::h2_candidates(origin, locations);
         siteselect_obs::Event::H2Choose {
             txn,
             origin: SiteId::Client(origin),
@@ -792,7 +832,7 @@ impl ClientServerSim {
     pub(crate) fn h2_choose(
         origin: ClientId,
         accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
+        locations: &[Located],
         loads: &[(ClientId, usize, f64)],
     ) -> ClientId {
         let load_of = |c: ClientId| {
@@ -801,16 +841,8 @@ impl ClientServerSim {
                 .find(|(id, _, _)| *id == c)
                 .map_or(0, |&(_, l, _)| l)
         };
-        let mut candidates: Vec<ClientId> = vec![origin];
-        for (_, holders) in locations {
-            for &(c, _) in holders {
-                if !candidates.contains(&c) {
-                    candidates.push(c);
-                }
-            }
-        }
         let origin_score = Self::h2_score(origin, accesses, locations);
-        let best = candidates
+        let best = Self::h2_candidates(origin, locations)
             .into_iter()
             .map(|c| (Self::h2_score(c, accesses, locations), load_of(c), c.0, c))
             .min()
@@ -828,7 +860,7 @@ impl ClientServerSim {
     pub(crate) fn holds_fraction(
         site: ClientId,
         accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
+        locations: &[Located],
     ) -> f64 {
         if accesses.is_empty() {
             return 0.0;
@@ -838,8 +870,7 @@ impl ClientServerSim {
             .filter(|a| {
                 locations
                     .iter()
-                    .find(|(o, _)| *o == a.object)
-                    .is_some_and(|(_, holders)| holders.iter().any(|(h, _)| *h == site))
+                    .any(|&(o, h, _)| o == a.object && h == site)
             })
             .count();
         held as f64 / accesses.len() as f64
@@ -847,24 +878,15 @@ impl ClientServerSim {
 
     /// The number of conflicting locks transaction `accesses` would wait
     /// for if executed at `site` (the quantity H2 minimizes).
-    pub(crate) fn h2_score(
-        site: ClientId,
-        accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-    ) -> usize {
+    pub(crate) fn h2_score(site: ClientId, accesses: &[AccessSpec], locations: &[Located]) -> usize {
         accesses
             .iter()
             .map(|a| {
                 let mode = a.mode();
                 locations
                     .iter()
-                    .find(|(o, _)| *o == a.object)
-                    .map_or(0, |(_, holders)| {
-                        holders
-                            .iter()
-                            .filter(|(h, m)| *h != site && !m.compatible_with(mode))
-                            .count()
-                    })
+                    .filter(|&&(o, h, m)| o == a.object && h != site && !m.compatible_with(mode))
+                    .count()
             })
             .sum()
     }
@@ -877,8 +899,8 @@ impl ClientServerSim {
         &mut self,
         ci: usize,
         key: TKey,
-        locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
-        loads: Vec<(ClientId, usize, f64)>,
+        locations: &[Located],
+        loads: &[(ClientId, usize, f64)],
     ) {
         let Some(run) = self.clients[ci].txns.get(&key) else {
             return;
@@ -888,7 +910,7 @@ impl ClientServerSim {
         };
         let self_id = self.clients[ci].id;
         let txn = run.spec.id;
-        let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
+        let accesses = run.spec.accesses.as_slice();
         // The load-query round the transaction waited on: H1-infeasible
         // admission handling, or the decomposition placement lookup.
         self.emit_span(
@@ -904,9 +926,9 @@ impl ClientServerSim {
         match reason {
             InfoReason::H1Infeasible => {
                 let best = if self.cfg.load_sharing.h2_enabled {
-                    let best = Self::h2_choose(self_id, &accesses, &locations, &loads);
+                    let best = Self::h2_choose(self_id, accesses, locations, loads);
                     self.sink.emit(self.now, SiteId::Client(self_id), || {
-                        Self::h2_choose_event(txn, self_id, best, &accesses, &locations)
+                        Self::h2_choose_event(txn, self_id, best, accesses, locations)
                     });
                     best
                 } else {
@@ -926,7 +948,7 @@ impl ClientServerSim {
                 }
             }
             InfoReason::Decompose => {
-                let raw = Self::group_by_location(self_id, &accesses, &locations);
+                let raw = Self::group_by_location(self_id, accesses, locations);
                 // Keep decomposition worthwhile: remote groups must carry at
                 // least two objects (a single-object fetch is cheaper than a
                 // subtask) and the fan-out is capped at four sites, as in
@@ -1142,16 +1164,14 @@ impl ClientServerSim {
         let grants = self.clients[ci].local_locks.release_all(key);
         self.clients[ci].local_wfg.remove_node(key);
         for (object, waiters) in grants {
-            let keys: Vec<TKey> = waiters.iter().map(|w| w.owner).collect();
-            self.on_local_grants(ci, object, keys);
+            self.on_local_grants(ci, object, waiters);
         }
         // Pending revokes may now be executable.
-        let held: Vec<ObjectId> = run.needed.objects().collect();
-        for object in held {
+        for object in run.needed.objects() {
             self.try_execute_revoke(ci, object);
         }
         // Outstanding fetches.
-        let mut cancelled: Vec<ObjectId> = Vec::new();
+        let mut cancelled = self.pools.objects.take();
         let c = &mut self.clients[ci];
         #[expect(
             clippy::disallowed_methods,
@@ -1168,7 +1188,9 @@ impl ClientServerSim {
                 true
             }
         });
-        if !cancelled.is_empty() {
+        if cancelled.is_empty() {
+            self.pools.objects.give(cancelled);
+        } else {
             cancelled.sort_unstable(); // retain walks hash order
             let client = self.clients[ci].id;
             self.send_to_server(
@@ -1230,10 +1252,9 @@ impl ClientServerSim {
         reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
     )]
     fn requeue_local_waiters(&mut self, ci: usize, object: ObjectId) {
-        let waiters: Vec<TKey> = self.clients[ci]
+        let waiters: InlineVec<TKey, 4> = self.clients[ci]
             .local_locks
             .waiters(object)
-            .iter()
             .map(|w| w.owner)
             .collect();
         for key in waiters {
@@ -1261,22 +1282,9 @@ impl ClientServerSim {
             if let Some(run) = self.clients[ci].txns.get_mut(&key) {
                 run.needed.insert(object, mode, Need::Fetch);
             }
-            let keys: Vec<TKey> = grants.iter().map(|w| w.owner).collect();
-            self.on_local_grants(ci, object, keys);
+            self.on_local_grants(ci, object, grants);
             if let Some(w) = self.join_fetch(ci, key, object, mode, true, deadline) {
-                let client = self.clients[ci].id;
-                self.send_to_server(
-                    client,
-                    MessageKind::ObjectRequest,
-                    0,
-                    1,
-                    Msg::RequestBatch {
-                        txn: key,
-                        client,
-                        wants: vec![w],
-                        grant_all: false,
-                    },
-                );
+                self.send_want(ci, key, w);
             }
         }
     }
@@ -1293,7 +1301,7 @@ impl ClientServerSim {
         if !c.revokes.contains_key(&object) {
             return;
         }
-        if !c.local_locks.holders(object).is_empty() {
+        if c.local_locks.has_holders(object) {
             return; // active local users finish first
         }
         let revoke = self.clients[ci]
@@ -1440,12 +1448,11 @@ impl ClientServerSim {
         clippy::indexing_slicing,
         reason = "ci is a ClientId index issued at construction; clients and faults.up hold one entry per client and never shrink"
     )]
-    pub(crate) fn on_local_grants(&mut self, ci: usize, object: ObjectId, keys: Vec<TKey>) {
-        for key in keys {
+    pub(crate) fn on_local_grants(&mut self, ci: usize, object: ObjectId, grants: Granted<TKey>) {
+        for key in grants.into_iter().map(|w| w.owner) {
             let Some(run) = self.clients[ci].txns.get(&key) else {
                 // Granted to a transaction that no longer exists.
-                let grants = self.clients[ci].local_locks.release(object, key);
-                let more: Vec<TKey> = grants.iter().map(|w| w.owner).collect();
+                let more = self.clients[ci].local_locks.release(object, key);
                 self.on_local_grants(ci, object, more);
                 continue;
             };
@@ -1516,19 +1523,7 @@ impl ClientServerSim {
                     run.needed.insert(object, mode, Need::Fetch);
                 }
                 if let Some(w) = self.join_fetch(ci, key, object, mode, true, deadline) {
-                    let client = self.clients[ci].id;
-                    self.send_to_server(
-                        client,
-                        MessageKind::ObjectRequest,
-                        0,
-                        1,
-                        Msg::RequestBatch {
-                            txn: key,
-                            client,
-                            wants: vec![w],
-                            grant_all: false,
-                        },
-                    );
+                    self.send_want(ci, key, w);
                 }
             }
         }
@@ -1615,8 +1610,7 @@ impl ClientServerSim {
         // Mark updated objects dirty in the cache (they carry the newest
         // version under the exclusive lock).
         if run.state == RunState::Executing {
-            let writes: Vec<ObjectId> = run.spec.write_set().collect();
-            for o in writes {
+            for o in run.spec.write_set() {
                 if self.clients[ci].cache.contains(o) {
                     self.clients[ci].dirty.insert(o);
                 }
@@ -2020,21 +2014,14 @@ impl ClientServerSim {
             sent_at,
             None,
         );
-        self.send_to_server(
-            client,
-            MessageKind::ObjectRequest,
-            0,
-            1,
-            Msg::RequestBatch {
-                txn,
-                client,
-                wants: vec![Want {
-                    object,
-                    mode,
-                    needs_data,
-                    deadline,
-                }],
-                grant_all: false,
+        self.send_want(
+            ci,
+            txn,
+            Want {
+                object,
+                mode,
+                needs_data,
+                deadline,
             },
         );
         let backoff = f
@@ -2085,23 +2072,21 @@ impl ClientServerSim {
 mod tests {
     use super::*;
 
-    fn loc(
-        o: u32,
-        holders: &[(u16, LockMode)],
-    ) -> (ObjectId, Vec<(ClientId, LockMode)>) {
-        (
-            ObjectId(o),
-            holders.iter().map(|&(c, m)| (ClientId(c), m)).collect(),
-        )
+    fn loc(o: u32, holders: &[(u16, LockMode)]) -> Vec<Located> {
+        holders
+            .iter()
+            .map(|&(c, m)| (ObjectId(o), ClientId(c), m))
+            .collect()
     }
 
     #[test]
     fn h2_prefers_the_site_holding_the_conflicting_locks() {
         let accesses = vec![AccessSpec::write(ObjectId(1)), AccessSpec::write(ObjectId(2))];
-        let locations = vec![
+        let locations = [
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(5, LockMode::Exclusive)]),
-        ];
+        ]
+        .concat();
         let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
@@ -2110,7 +2095,7 @@ mod tests {
     fn h2_stays_home_without_strict_improvement() {
         let accesses = vec![AccessSpec::read(ObjectId(1))];
         // A shared lock elsewhere does not conflict with a read.
-        let locations = vec![loc(1, &[(5, LockMode::Shared)])];
+        let locations = loc(1, &[(5, LockMode::Shared)]);
         let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(0));
     }
@@ -2121,10 +2106,11 @@ mod tests {
         // Client 5 holds obj1 EL; client 6 holds obj2 EL. Either site still
         // waits for one conflicting lock; origin waits for two. Tie between
         // 5 and 6 broken by id.
-        let locations = vec![
+        let locations = [
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(6, LockMode::Exclusive)]),
-        ];
+        ]
+        .concat();
         let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
@@ -2132,10 +2118,11 @@ mod tests {
     #[test]
     fn h2_breaks_ties_by_load() {
         let accesses = vec![AccessSpec::write(ObjectId(1)), AccessSpec::write(ObjectId(2))];
-        let locations = vec![
+        let locations = [
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(6, LockMode::Exclusive)]),
-        ];
+        ]
+        .concat();
         let loads = vec![(ClientId(5), 10, 1.0), (ClientId(6), 1, 1.0)];
         let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &loads);
         assert_eq!(best, ClientId(6));

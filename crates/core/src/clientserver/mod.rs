@@ -64,7 +64,18 @@ pub(crate) struct Want {
     pub deadline: SimTime,
 }
 
-/// Messages exchanged between sites (the payload of `Ev::Deliver`).
+/// One granted object in a server→client grant batch:
+/// `(object, mode, with_data)`.
+pub(crate) type GrantItem = (ObjectId, LockMode, bool);
+
+/// One known holder of an object, as the server reports locations:
+/// `(object, holder, mode)`. A report lists each object's holders
+/// consecutively, objects in request order.
+pub(crate) type Located = (ObjectId, ClientId, LockMode);
+
+/// Messages exchanged between sites (the payload of `Ev::Deliver`). The
+/// vectors they carry come from [`Pools`] and go back there once the
+/// receiver has handled the message.
 #[derive(Debug, Clone)]
 pub(crate) enum Msg {
     /// Client → server: per-object requests of one transaction, physically
@@ -77,14 +88,12 @@ pub(crate) enum Msg {
         grant_all: bool,
     },
     /// Server → client: granted objects/locks of one batch.
-    GrantBatch {
-        items: Vec<(ObjectId, LockMode, bool)>, // (object, mode, with_data)
-    },
+    GrantBatch { items: Vec<GrantItem> },
     /// Server → client: the LS grant-all round failed; here is who holds
     /// what (input to H2).
     ConflictReport {
         txn: TKey,
-        conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
+        conflicts: Vec<Located>,
     },
     /// Server → client: request refused (wait-for cycle or expired
     /// deadline).
@@ -123,7 +132,7 @@ pub(crate) enum Msg {
     /// Server → client: locations and loads.
     LoadReply {
         txn: TKey,
-        locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
+        locations: Vec<Located>,
         loads: Vec<(ClientId, usize, f64)>,
     },
     /// Client → client (via directory): object hops down a forward list.
@@ -186,7 +195,7 @@ pub(crate) enum Ev {
     ServerFetchDone {
         to: ClientId,
         txn: TKey,
-        items: Vec<(ObjectId, LockMode, bool)>,
+        items: Vec<GrantItem>,
         scheduled_at: SimTime,
     },
     /// A grouped-lock collection window closed.
@@ -234,13 +243,13 @@ pub(crate) enum SiteDest {
 /// Ordering is preserved exactly: the staged group is flushed before any
 /// other push (so an unrelated same-timestamp event can never be reordered
 /// around it) and before every pop. Group vectors are recycled through a
-/// small pool, keeping steady-state delivery scheduling off the allocator.
+/// pool, keeping steady-state delivery scheduling off the allocator.
 pub(crate) struct ClusterQueue {
     q: EventQueue<Ev>,
     staged_at: SimTime,
     staged_to: SiteDest,
     staged: Vec<Msg>,
-    pool: Vec<Vec<Msg>>,
+    pool: Pool<Msg>,
 }
 
 impl ClusterQueue {
@@ -250,14 +259,14 @@ impl ClusterQueue {
             staged_at: SimTime::ZERO,
             staged_to: SiteDest::Server,
             staged: Vec::new(),
-            pool: Vec::new(),
+            pool: Pool::default(),
         }
     }
 
     /// Pushes any staged delivery group as one event.
     fn flush(&mut self) {
         if !self.staged.is_empty() {
-            let msgs = std::mem::replace(&mut self.staged, self.pool.pop().unwrap_or_default());
+            let msgs = std::mem::replace(&mut self.staged, self.pool.take());
             self.q.push(self.staged_at, Ev::Deliver { to: self.staged_to, msgs });
         }
     }
@@ -274,11 +283,8 @@ impl ClusterQueue {
     }
 
     /// Returns a drained group vector to the pool for reuse.
-    pub(crate) fn recycle(&mut self, mut msgs: Vec<Msg>) {
-        if self.pool.len() < 8 {
-            msgs.clear();
-            self.pool.push(msgs);
-        }
+    pub(crate) fn recycle(&mut self, msgs: Vec<Msg>) {
+        self.pool.give(msgs);
     }
 
     pub(crate) fn push(&mut self, at: SimTime, ev: Ev) {
@@ -300,12 +306,61 @@ impl ClusterQueue {
     }
 }
 
+/// A free list of cleared vectors. Taking one reuses a buffer some earlier
+/// message or group carried; giving one back clears it. The pool holds at
+/// most as many vectors as were ever in flight at once.
+pub(crate) struct Pool<T>(Vec<Vec<T>>);
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool(Vec::new())
+    }
+}
+
+impl<T> Pool<T> {
+    /// An empty vector, recycled when one is available.
+    pub(crate) fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// A recycled vector holding just `item`.
+    pub(crate) fn one(&mut self, item: T) -> Vec<T> {
+        let mut v = self.take();
+        v.push(item);
+        v
+    }
+
+    /// Clears `v` and keeps its buffer for the next `take`.
+    pub(crate) fn give(&mut self, mut v: Vec<T>) {
+        if v.capacity() > 0 {
+            v.clear();
+            self.0.push(v);
+        }
+    }
+}
+
+/// The payload vectors of [`Msg`], recycled between messages.
+#[derive(Default)]
+pub(crate) struct Pools {
+    /// `RequestBatch` wants.
+    pub wants: Pool<Want>,
+    /// `GrantBatch` and `ServerFetchDone` items.
+    pub items: Pool<GrantItem>,
+    /// `CancelWants` and `LoadQuery` objects.
+    pub objects: Pool<ObjectId>,
+    /// `ConflictReport` conflicts and `LoadReply` locations.
+    pub located: Pool<Located>,
+    /// `LoadReply` loads.
+    pub loads: Pool<(ClientId, usize, f64)>,
+}
+
 /// Why an object fetch is outstanding at a client.
 #[derive(Debug)]
 pub(crate) struct Fetch {
     pub mode: LockMode,
     pub sent_at: SimTime,
-    pub waiters: Vec<TKey>,
+    /// Transactions waiting on the fetch; usually one or two share it.
+    pub waiters: InlineVec<TKey, 2>,
     /// True once the request actually went to the server (a fetch created
     /// while a batch is being assembled is not yet on the wire).
     pub sent: bool,
@@ -655,6 +710,7 @@ pub struct ClientServerSim {
     pub(crate) specs: Vec<TransactionSpec>,
     pub(crate) faults: FaultRuntime,
     pub(crate) sink: EventSink,
+    pub(crate) pools: Pools,
 }
 
 impl ClientServerSim {
@@ -738,6 +794,7 @@ impl ClientServerSim {
             specs: Vec::new(),
             faults,
             sink: EventSink::disabled(),
+            pools: Pools::default(),
             cfg,
         }
     }
@@ -820,6 +877,15 @@ impl ClientServerSim {
     /// Runs the experiment to completion and returns its metrics.
     #[must_use]
     pub fn run(mut self) -> RunMetrics {
+        self.prepare();
+        while self.step() {}
+        self.finalize()
+    }
+
+    /// Generates the trace and seeds the event queue. Split out of
+    /// [`run`](Self::run) so harnesses can pump events one at a time (the
+    /// allocation test counts the allocator across the event loop only).
+    pub fn prepare(&mut self) {
         let trace = Trace::generate(
             &self.cfg.workload,
             self.cfg.cpu.txn_cpu_fraction,
@@ -828,7 +894,7 @@ impl ClientServerSim {
             self.cfg.runtime.duration,
             self.cfg.runtime.seed,
         );
-        self.specs = trace.transactions().to_vec();
+        self.specs = trace.into_transactions();
         for (i, spec) in self.specs.iter().enumerate() {
             self.queue.push(spec.arrival, Ev::Arrive(i));
         }
@@ -844,15 +910,28 @@ impl ClientServerSim {
         self.server
             .locks
             .reserve_objects(self.cfg.database.num_objects as usize);
-        while let Some((t, ev)) = self.queue.pop() {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize()
     }
 
-    fn finalize(mut self) -> RunMetrics {
+    /// Processes the next event; returns `false` once the queue is drained.
+    pub fn step(&mut self) -> bool {
+        let Some((t, ev)) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(t >= self.now, "time went backwards");
+        self.now = t;
+        self.handle(ev);
+        true
+    }
+
+    /// Current simulated time.
+    #[must_use]
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Closes out the run and returns its metrics.
+    #[must_use]
+    pub fn finalize(mut self) -> RunMetrics {
         let span = self
             .now
             .duration_since(SimTime::ZERO)
@@ -1059,21 +1138,16 @@ impl ClientServerSim {
     pub(crate) fn group_by_location(
         origin: ClientId,
         accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
+        locations: &[Located],
     ) -> Vec<(ClientId, Vec<AccessSpec>)> {
-        let map: HashMap<ObjectId, &Vec<(ClientId, LockMode)>> =
-            locations.iter().map(|(o, v)| (*o, v)).collect();
         let mut groups: BTreeMap<ClientId, Vec<AccessSpec>> = BTreeMap::new();
         for a in accesses {
-            let site = map
-                .get(&a.object)
-                .and_then(|holders| {
-                    holders
-                        .iter()
-                        .find(|(_, m)| m.is_exclusive())
-                        .or_else(|| holders.first())
-                })
-                .map_or(origin, |&(c, _)| c);
+            let mut holders = locations.iter().filter(|&&(o, _, _)| o == a.object);
+            let site = holders
+                .clone()
+                .find(|(_, _, m)| m.is_exclusive())
+                .or_else(|| holders.next())
+                .map_or(origin, |&(_, c, _)| c);
             groups.entry(site).or_default().push(*a);
         }
         groups.into_iter().collect()
@@ -1126,12 +1200,9 @@ mod tests {
             AccessSpec::write(ObjectId(3)),
         ];
         let locations = vec![
-            (
-                ObjectId(1),
-                vec![(ClientId(5), LockMode::Shared), (ClientId(6), LockMode::Exclusive)],
-            ),
-            (ObjectId(2), vec![(ClientId(5), LockMode::Shared)]),
-            (ObjectId(3), vec![]),
+            (ObjectId(1), ClientId(5), LockMode::Shared),
+            (ObjectId(1), ClientId(6), LockMode::Exclusive),
+            (ObjectId(2), ClientId(5), LockMode::Shared),
         ];
         let groups = ClientServerSim::group_by_location(origin, &accesses, &locations);
         // obj1 -> client 6 (EL holder wins), obj2 -> client 5, obj3 -> origin.

@@ -4,14 +4,16 @@
 //! the buffer/disk path that ships object payloads.
 
 use siteselect_locks::{
-    Acquire, CallbackTracker, ForwardEntry, ForwardList, LockTable, QueueDiscipline, Waiter,
-    WaitForGraph, WindowManager, WindowOffer,
+    Acquire, CallbackTracker, Conflicts, ForwardEntry, ForwardList, Granted, LockTable,
+    QueueDiscipline, WaitForGraph, WindowManager, WindowOffer,
 };
 use siteselect_net::{Delivery, MessageKind};
 use siteselect_storage::{ClientCache, DurableStore};
 use siteselect_types::{AbortReason, ClientId, LockMode, ObjectId, ObjectMap, SimTime, SiteId, TransactionId};
 
-use super::{ClientServerSim, Ev, Msg, SiteDest, TKey, WaitingWants, Want, WantInfo};
+use super::{
+    ClientServerSim, Ev, GrantItem, Located, Msg, SiteDest, TKey, WaitingWants, Want, WantInfo,
+};
 
 impl ClientServerSim {
     pub(crate) fn server_on_msg(&mut self, msg: Msg) {
@@ -23,12 +25,13 @@ impl ClientServerSim {
                 grant_all,
             } => {
                 if grant_all {
-                    self.server_grant_all(txn, client, wants);
+                    self.server_grant_all(txn, client, &wants);
                 } else {
-                    for w in wants {
+                    for &w in &wants {
                         self.server_handle_want(txn, client, w);
                     }
                 }
+                self.pools.wants.give(wants);
             }
             Msg::ObjectReturn {
                 object,
@@ -41,14 +44,18 @@ impl ClientServerSim {
                 had_copy,
             } => self.server_on_ack(object, from, had_copy),
             Msg::CancelWants { client, objects } => {
-                for object in objects {
+                for &object in &objects {
                     let (_, grants) = self.server.locks.cancel_wait(object, client);
                     self.server.waiting_wants.remove(object, client);
                     self.server_apply_grants(object, grants);
                 }
+                self.pools.objects.give(objects);
                 self.refresh_wfg(client);
             }
-            Msg::LoadQuery { txn, objects } => self.server_on_load_query(txn, objects),
+            Msg::LoadQuery { txn, objects } => {
+                self.server_on_load_query(txn, &objects);
+                self.pools.objects.give(objects);
+            }
             _ => unreachable!("client message delivered to server"),
         }
     }
@@ -63,25 +70,19 @@ impl ClientServerSim {
     /// of the conflicting holders ride back to the client (§4), which may
     /// then cancel its queued requests and ship the transaction to a
     /// better site (H2).
-    fn server_grant_all(&mut self, txn: TKey, client: ClientId, wants: Vec<Want>) {
-        let conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = wants
-            .iter()
-            .filter_map(|w| {
-                let holders: Vec<(ClientId, LockMode)> = self
-                    .server
-                    .locks
-                    .holders(w.object)
-                    .into_iter()
-                    .filter(|&(h, m)| h != client && !m.compatible_with(w.mode))
-                    .collect();
-                let holders = self.with_routing_holders(w.object, holders);
-                (!holders.is_empty()).then_some((w.object, holders))
-            })
-            .collect();
+    fn server_grant_all(&mut self, txn: TKey, client: ClientId, wants: &[Want]) {
+        let mut conflicts = self.pools.located.take();
         for w in wants {
+            self.locate(&mut conflicts, w.object, |h, m| {
+                h != client && !m.compatible_with(w.mode)
+            });
+        }
+        for &w in wants {
             self.server_handle_want(txn, client, w);
         }
-        if !conflicts.is_empty() {
+        if conflicts.is_empty() {
+            self.pools.located.give(conflicts);
+        } else {
             let delivery = self.fabric.try_send(
                 self.now,
                 SiteId::Server,
@@ -97,22 +98,34 @@ impl ClientServerSim {
         }
     }
 
-    /// Reports the tail of a travelling forward list as the object's
-    /// location (§4: "the server refers to the object's forward list and
-    /// reports the last client in the list").
-    fn with_routing_holders(
+    /// Appends the holders of `object` that pass `keep` to `out`. When none
+    /// does, the tail of a travelling forward list is reported as the
+    /// object's location instead (§4: "the server refers to the object's
+    /// forward list and reports the last client in the list").
+    fn locate(
         &self,
+        out: &mut Vec<Located>,
         object: ObjectId,
-        holders: Vec<(ClientId, LockMode)>,
-    ) -> Vec<(ClientId, LockMode)> {
-        if holders.is_empty() {
-            if let Some(list) = self.server.routing.get(object) {
-                if let Some(last) = list.last_client() {
-                    return vec![(last, LockMode::Exclusive)];
-                }
+        keep: impl Fn(ClientId, LockMode) -> bool,
+    ) {
+        let before = out.len();
+        out.extend(
+            self.server
+                .locks
+                .holders(object)
+                .filter(|&(h, m)| keep(h, m))
+                .map(|(h, m)| (object, h, m)),
+        );
+        if out.len() == before {
+            if let Some(last) = self.routing_tail(object) {
+                out.push((object, last, LockMode::Exclusive));
             }
         }
-        holders
+    }
+
+    /// The last client of the forward list travelling with `object`, if any.
+    fn routing_tail(&self, object: ObjectId) -> Option<ClientId> {
+        self.server.routing.get(object).and_then(ForwardList::last_client)
     }
 
     // ------------------------------------------------------------------
@@ -133,30 +146,30 @@ impl ClientServerSim {
         // the re-shipped copy. Drop it; the ack (or the lease) settles the
         // lock and the client's next retry or deadline sweep settles the
         // transaction.
-        if self.faults.active
-            && self
-                .server
-                .callbacks
-                .outstanding(w.object)
-                .contains(&client)
-        {
+        if self.faults.active && self.server.callbacks.is_outstanding(w.object, client) {
             return;
         }
         if let Some(held) = self.server.locks.held_mode(w.object, client) {
             if held.covers(w.mode) {
-                self.server_ship(txn, client, vec![(w.object, w.mode, w.needs_data)]);
+                let items = self.pools.items.one((w.object, w.mode, w.needs_data));
+                self.server_ship(txn, client, items);
                 return;
             }
         }
         // A travelling forward list leaves the lock table empty; the chain
-        // tail stands in as the holder so the request batches behind the
-        // chain instead of being granted against the in-flight copies.
-        let holders = self.with_routing_holders(w.object, self.server.locks.holders(w.object));
-        let conflicting: Vec<ClientId> = holders
-            .iter()
-            .filter(|&&(h, m)| h != client && !m.compatible_with(w.mode))
-            .map(|&(h, _)| h)
-            .collect();
+        // tail stands in as an exclusive holder so the request batches
+        // behind the chain instead of being granted against the in-flight
+        // copies.
+        let conflicting = if self.server.locks.has_holders(w.object) {
+            self.server
+                .locks
+                .conflicting_holders(w.object, client, w.mode)
+        } else {
+            self.routing_tail(w.object)
+                .filter(|&tail| tail != client)
+                .into_iter()
+                .collect()
+        };
 
         // Grouped-lock path: requests that arrive while the object is
         // already being chased (an outstanding recall, an open window, or a
@@ -193,7 +206,13 @@ impl ClientServerSim {
 
     /// The plain (CS-RTDBS) path: queue in the lock table under deadlock
     /// avoidance and recall conflicting cached locks.
-    fn server_want_plain(&mut self, txn: TKey, client: ClientId, w: Want, conflicting: Vec<ClientId>) {
+    fn server_want_plain(
+        &mut self,
+        txn: TKey,
+        client: ClientId,
+        w: Want,
+        conflicting: Conflicts<ClientId>,
+    ) {
         // Failure handling: a retransmitted request whose original is still
         // queued must not double-queue in the lock table.
         if self.faults.active && self.server.waiting_wants.contains(w.object, client) {
@@ -209,7 +228,8 @@ impl ClientServerSim {
             .request(w.object, client, w.mode, w.deadline)
         {
             Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                self.server_ship(txn, client, vec![(w.object, w.mode, w.needs_data)]);
+                let items = self.pools.items.one((w.object, w.mode, w.needs_data));
+                self.server_ship(txn, client, items);
             }
             Acquire::Blocked { conflicts } => {
                 self.server.waiting_wants.insert(
@@ -225,12 +245,10 @@ impl ClientServerSim {
                 );
                 self.server.wfg.add_waits(client, conflicts);
                 // Call back the conflicting cached locks.
-                let targets = self.server.callbacks.begin_at(
-                    w.object,
-                    conflicting.clone(),
-                    w.mode,
-                    self.now,
-                );
+                let targets =
+                    self.server
+                        .callbacks
+                        .begin_at(w.object, conflicting, w.mode, self.now);
                 for t in targets {
                     let delivery = self.fabric.try_send(
                         self.now,
@@ -280,36 +298,34 @@ impl ClientServerSim {
     /// already in the server buffer go on the wire immediately; items that
     /// miss ship when their disk reads complete, so a buffered object is
     /// never delayed behind a co-requested miss. `txn` attributes the disk
-    /// span of a miss to the requesting transaction.
-    pub(crate) fn server_ship(
-        &mut self,
-        txn: TKey,
-        client: ClientId,
-        items: Vec<(ObjectId, LockMode, bool)>,
-    ) {
-        let mut ready = Vec::new();
-        let mut missed = Vec::new();
-        for item in items {
+    /// span of a miss to the requesting transaction. `items` itself goes out
+    /// as the ready batch.
+    pub(crate) fn server_ship(&mut self, txn: TKey, client: ClientId, mut items: Vec<GrantItem>) {
+        let mut missed = self.pools.items.take();
+        let measured = self.now >= self.warmup_end;
+        items.retain(|&item| {
             let (object, _, with_data) = item;
-            if with_data {
-                let hit = self.server.buffer.probe(object).is_some();
-                if self.now >= self.warmup_end {
-                    self.metrics.server_buffer.record(hit);
-                }
-                if hit {
-                    ready.push(item);
-                } else {
-                    self.server.buffer.insert(object);
-                    missed.push(item);
-                }
-            } else {
-                ready.push(item);
+            if !with_data {
+                return true;
             }
+            let hit = self.server.buffer.probe(object).is_some();
+            if measured {
+                self.metrics.server_buffer.record(hit);
+            }
+            if !hit {
+                self.server.buffer.insert(object);
+                missed.push(item);
+            }
+            hit
+        });
+        if items.is_empty() {
+            self.pools.items.give(items);
+        } else {
+            self.server_ship_now(client, items);
         }
-        if !ready.is_empty() {
-            self.server_ship_now(client, ready);
-        }
-        if !missed.is_empty() {
+        if missed.is_empty() {
+            self.pools.items.give(missed);
+        } else {
             let done = self
                 .server
                 .disk
@@ -327,7 +343,7 @@ impl ClientServerSim {
     }
 
     /// Puts the grant batch on the wire (buffer already warm).
-    pub(crate) fn server_ship_now(&mut self, to: ClientId, items: Vec<(ObjectId, LockMode, bool)>) {
+    pub(crate) fn server_ship_now(&mut self, to: ClientId, items: Vec<GrantItem>) {
         let with_data = items.iter().filter(|(_, _, d)| *d).count() as u32;
         let lock_only = items.len() as u32 - with_data;
         let mut delivery = Delivery::Delivered(self.now);
@@ -428,7 +444,7 @@ impl ClientServerSim {
     }
 
     /// Completes grants that cascaded out of a release/downgrade/cancel.
-    pub(crate) fn server_apply_grants(&mut self, object: ObjectId, granted: Vec<Waiter<ClientId>>) {
+    pub(crate) fn server_apply_grants(&mut self, object: ObjectId, granted: Granted<ClientId>) {
         for w in granted {
             let client = w.owner;
             let Some(info) = self.server.waiting_wants.remove(object, client) else {
@@ -457,7 +473,8 @@ impl ClientServerSim {
                 info.queued_at,
                 None,
             );
-            self.server_ship(info.txn, client, vec![(object, info.mode, info.needs_data)]);
+            let items = self.pools.items.one((object, info.mode, info.needs_data));
+            self.server_ship(info.txn, client, items);
         }
     }
 
@@ -470,7 +487,7 @@ impl ClientServerSim {
         object: ObjectId,
         client: ClientId,
         upgrade: bool,
-    ) -> Vec<Waiter<ClientId>> {
+    ) -> Granted<ClientId> {
         if upgrade {
             self.server.locks.downgrade(object, client)
         } else {
@@ -480,17 +497,11 @@ impl ClientServerSim {
 
     /// Recomputes a client's wait-for edges from its queued wants.
     pub(crate) fn refresh_wfg(&mut self, client: ClientId) {
-        self.server.wfg.clear_waits(client);
-        let wants: Vec<(ObjectId, LockMode)> = self
-            .server
-            .waiting_wants
-            .of_client(client)
-            .iter()
-            .map(|&(o, info)| (o, info.mode))
-            .collect();
-        for (object, mode) in wants {
-            let conflicts = self.server.locks.conflicting_holders(object, client, mode);
-            self.server.wfg.add_waits(client, conflicts);
+        let server = &mut self.server;
+        server.wfg.clear_waits(client);
+        for &(object, info) in server.waiting_wants.of_client(client) {
+            let conflicts = server.locks.conflicting_holders(object, client, info.mode);
+            server.wfg.add_waits(client, conflicts);
         }
     }
 
@@ -498,9 +509,12 @@ impl ClientServerSim {
     // Collection windows and forward lists
     // ------------------------------------------------------------------
 
-    #[expect(clippy::indexing_slicing, reason = "list.len() == 1 is checked on the line above")]
+    /// A collection window's period ended. While the object is still out
+    /// (travelling, recalled, or held with a queue behind it) the window
+    /// re-arms in place and keeps collecting; otherwise it closes and its
+    /// forward list is served.
     pub(crate) fn server_on_window_close(&mut self, object: ObjectId) {
-        let Some(list) = self.server.windows.close_at(object, self.now) else {
+        let Some(list) = self.server.windows.expire(object, self.now) else {
             return;
         };
         let still_busy = self.server.routing.contains(object)
@@ -508,38 +522,40 @@ impl ClientServerSim {
         if still_busy {
             // The object is still travelling or being recalled for the
             // plain-path waiter: keep collecting until it comes home.
-            self.server_reoffer_window(object, list);
+            self.server_rearm_window(object);
             return;
         }
-        if list.len() == 1 {
+        let single = match list.entries() {
+            &[e] => Some(e),
+            _ => None,
+        };
+        let all_shared = list.entries().iter().all(|e| e.mode == LockMode::Shared);
+        if let Some(e) = single {
             // A window that collected only one request gains nothing from
             // grouping: serve it as a plain recall, which also lets an
             // exclusive holder downgrade and keep its cached copy.
-            let e = list.entries()[0];
+            self.server.windows.close(object);
             let w = Want {
                 object,
                 mode: e.mode,
                 needs_data: true,
                 deadline: e.deadline,
             };
-            let conflicting: Vec<ClientId> = self
+            let conflicting = self
                 .server
                 .locks
-                .holders(object)
-                .into_iter()
-                .filter(|&(h, m)| h != e.client && !m.compatible_with(e.mode))
-                .map(|(h, _)| h)
-                .collect();
+                .conflicting_holders(object, e.client, e.mode);
             self.server_want_plain(e.txn.as_u64(), e.client, w, conflicting);
             return;
         }
-        let holders = self.server.locks.holders(object);
-        let el_holder = holders
-            .iter()
+        let el_holder = self
+            .server
+            .locks
+            .holders(object)
             .find(|(_, m)| m.is_exclusive())
-            .map(|&(h, _)| h);
+            .map(|(h, _)| h);
         match el_holder {
-            Some(holder) if self.server.locks.waiters(object).is_empty() => {
+            Some(holder) if !self.server.locks.has_waiters(object) => {
                 // One recall carries the whole forward list; the holder
                 // ships the object down the chain and the last client
                 // returns it (2n+1 messages, §3.4).
@@ -559,9 +575,12 @@ impl ClientServerSim {
                     self.server
                         .callbacks
                         .begin_at(object, [holder], LockMode::Exclusive, self.now);
-                    self.server_reoffer_window(object, list);
+                    self.server_rearm_window(object);
                     return;
                 }
+                let Some(list) = self.server.windows.close(object) else {
+                    return;
+                };
                 self.server.routing.insert(object, list.clone());
                 let grants = self.server.locks.release(object, holder);
                 debug_assert!(grants.is_empty(), "no queue behind a routed object");
@@ -578,28 +597,24 @@ impl ClientServerSim {
             Some(_) => {
                 // A holder remains but plain-path waiters are queued: let
                 // the callback complete and collect a little longer.
-                self.server_reoffer_window(object, list);
+                self.server_rearm_window(object);
             }
-            None if holders.is_empty() => {
-                // The object is home: serve the batch from the server's own
-                // copy as a client-to-client chain.
-                self.serve_list_from_server(object, list);
+            None if !self.server.locks.has_holders(object) || all_shared => {
+                // The object is home, or only shared cached copies remain
+                // and the batch is all shared requests, which can be served
+                // alongside them: serve the batch from the server's own copy
+                // as a client-to-client chain.
+                if let Some(list) = self.server.windows.close(object) {
+                    self.serve_list_from_server(object, list);
+                }
             }
             None => {
-                // Shared cached copies remain. A batch of shared requests
-                // can be served alongside them, but an exclusive entry
-                // needs the cached copies called back first.
-                if list
-                    .entries()
-                    .iter()
-                    .all(|e| e.mode == LockMode::Shared)
-                {
-                    self.serve_list_from_server(object, list);
-                    return;
-                }
-                let targets = self.server.callbacks.begin_at(
+                // Shared cached copies remain and an exclusive entry needs
+                // them called back first.
+                let server = &mut self.server;
+                let targets = server.callbacks.begin_at(
                     object,
-                    holders.iter().map(|&(h, _)| h),
+                    server.locks.holders(object).map(|(h, _)| h),
                     LockMode::Exclusive,
                     self.now,
                 );
@@ -622,23 +637,15 @@ impl ClientServerSim {
                         },
                     );
                 }
-                self.server_reoffer_window(object, list);
+                self.server_rearm_window(object);
             }
         }
     }
 
-    /// Puts a closed window's entries back into a fresh collection window
-    /// (the object is not yet servable) and schedules its close.
-    fn server_reoffer_window(&mut self, object: ObjectId, list: ForwardList) {
-        let mut reopen_close = None;
-        for e in list.entries().iter().copied() {
-            if let WindowOffer::Opened { closes_at } =
-                self.server.windows.offer(object, e, self.now)
-            {
-                reopen_close = Some(closes_at);
-            }
-        }
-        if let Some(at) = reopen_close {
+    /// Keeps collecting on a window whose object is not servable yet: the
+    /// window keeps its forward list and closes again one period from now.
+    fn server_rearm_window(&mut self, object: ObjectId) {
+        if let Some(at) = self.server.windows.rearm(object, self.now) {
             self.queue.push(at, Ev::WindowClose { object });
         }
     }
@@ -665,7 +672,8 @@ impl ClientServerSim {
                 .request(object, entry.client, entry.mode, entry.deadline)
             {
                 Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                    self.server_ship(entry.txn.as_u64(), entry.client, vec![(object, entry.mode, true)]);
+                    let items = self.pools.items.one((object, entry.mode, true));
+                    self.server_ship(entry.txn.as_u64(), entry.client, items);
                 }
                 Acquire::Blocked { .. } => {
                     // Another client claimed the object in the meantime:
@@ -716,21 +724,15 @@ impl ClientServerSim {
     // Location / load queries
     // ------------------------------------------------------------------
 
-    fn server_on_load_query(&mut self, txn: TKey, objects: Vec<ObjectId>) {
-        let locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = objects
-            .iter()
-            .map(|&o| {
-                let holders = self.server.locks.holders(o);
-                (o, self.with_routing_holders(o, holders))
-            })
-            .collect();
+    fn server_on_load_query(&mut self, txn: TKey, objects: &[ObjectId]) {
+        let mut locations = self.pools.located.take();
+        for &o in objects {
+            self.locate(&mut locations, o, |_, _| true);
+        }
         // Load information is piggybacked on the constant client-server
         // traffic (§4), so the server's view is current: read it live.
-        let loads: Vec<(ClientId, usize, f64)> = self
-            .clients
-            .iter()
-            .map(|c| (c.id, c.load(), c.atl()))
-            .collect();
+        let mut loads = self.pools.loads.take();
+        loads.extend(self.clients.iter().map(|c| (c.id, c.load(), c.atl())));
         let client = TransactionId::from_raw(txn).origin();
         let delivery = self.fabric.try_send(
             self.now,
@@ -815,7 +817,6 @@ impl ClientServerSim {
             let zombies: Vec<TKey> = self.clients[holder.index()]
                 .local_locks
                 .holders(object)
-                .into_iter()
                 .map(|(owner, _)| owner)
                 .collect();
             for key in zombies {
@@ -1069,7 +1070,8 @@ mod tests {
             mode: LockMode::Exclusive,
         });
         s.server.routing.insert(ObjectId(3), list);
-        let holders = s.with_routing_holders(ObjectId(3), vec![]);
-        assert_eq!(holders, vec![(ClientId(3), LockMode::Exclusive)]);
+        let mut holders = Vec::new();
+        s.locate(&mut holders, ObjectId(3), |_, _| true);
+        assert_eq!(holders, vec![(ObjectId(3), ClientId(3), LockMode::Exclusive)]);
     }
 }

@@ -10,10 +10,15 @@
 //! answer, so the server knows when the recall completed and the blocked
 //! request can be granted.
 
-use std::collections::BTreeMap;
-
 use siteselect_obs::{Event, EventSink};
-use siteselect_types::{ClientId, HashMap, LockMode, ObjectId, SimDuration, SimTime, SiteId};
+use siteselect_types::{
+    ClientId, HashMap, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId,
+};
+
+/// Holders a recall newly messages, in the order they were offered. A recall
+/// names one holder per cached copy, and copies are few, so the list stays
+/// inline.
+pub type Recalled = InlineVec<ClientId, 4>;
 
 /// Progress of an in-flight recall after one acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +34,34 @@ pub enum RecallProgress {
 
 #[derive(Debug, Clone)]
 struct Recall {
-    /// Holders still owing an answer, with the instant their callback was
-    /// issued (for lease expiry; `SimTime::ZERO` for untimed callers).
-    outstanding: BTreeMap<ClientId, SimTime>,
+    /// Holders still owing an answer, sorted by client, with the instant
+    /// their callback was issued (for lease expiry; `SimTime::ZERO` for
+    /// untimed callers).
+    outstanding: InlineVec<(ClientId, SimTime), 4>,
     desired: LockMode,
+}
+
+impl Recall {
+    /// Where `client` sits in the sorted outstanding list: `Ok` at its
+    /// entry, `Err` at the slot it would be inserted into.
+    fn find(&self, client: ClientId) -> Result<usize, usize> {
+        match self.outstanding.iter().position(|&(c, _)| c >= client) {
+            Some(i) if self.outstanding.get(i).is_some_and(|&(c, _)| c == client) => Ok(i),
+            Some(i) => Err(i),
+            None => Err(self.outstanding.len()),
+        }
+    }
+
+    /// Removes `client`'s entry; false if it owed nothing.
+    fn settle(&mut self, client: ClientId) -> bool {
+        match self.find(client) {
+            Ok(i) => {
+                self.outstanding.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
 }
 
 /// Tracks outstanding lock callbacks per object.
@@ -45,7 +74,7 @@ struct Recall {
 ///
 /// let mut cb = CallbackTracker::new();
 /// let targets = cb.begin(ObjectId(1), [ClientId(1), ClientId(2)], LockMode::Shared);
-/// assert_eq!(targets, vec![ClientId(1), ClientId(2)]);
+/// assert_eq!(targets.to_vec(), vec![ClientId(1), ClientId(2)]);
 /// assert_eq!(
 ///     cb.acknowledge(ObjectId(1), ClientId(1)),
 ///     Some(RecallProgress::Pending { remaining: 1 })
@@ -85,7 +114,7 @@ impl CallbackTracker {
         object: ObjectId,
         holders: impl IntoIterator<Item = ClientId>,
         desired: LockMode,
-    ) -> Vec<ClientId> {
+    ) -> Recalled {
         self.begin_at(object, holders, desired, SimTime::ZERO)
     }
 
@@ -99,16 +128,16 @@ impl CallbackTracker {
         holders: impl IntoIterator<Item = ClientId>,
         desired: LockMode,
         now: SimTime,
-    ) -> Vec<ClientId> {
+    ) -> Recalled {
         let recall = self.recalls.entry(object).or_insert_with(|| Recall {
-            outstanding: BTreeMap::new(),
+            outstanding: InlineVec::new(),
             desired,
         });
         recall.desired = recall.desired.stronger(desired);
-        let mut fresh = Vec::new();
+        let mut fresh = Recalled::new();
         for h in holders {
-            if let std::collections::btree_map::Entry::Vacant(e) = recall.outstanding.entry(h) {
-                e.insert(now);
+            if let Err(at) = recall.find(h) {
+                recall.outstanding.insert(at, (h, now));
                 fresh.push(h);
                 self.issued += 1;
             }
@@ -143,8 +172,8 @@ impl CallbackTracker {
             .flat_map(|(&obj, r)| {
                 r.outstanding
                     .iter()
-                    .filter(move |&(_, &t)| now.duration_since(t) >= lease)
-                    .map(move |(&c, _)| (obj, c))
+                    .filter(move |&&(_, t)| now.duration_since(t) >= lease)
+                    .map(move |&(c, _)| (obj, c))
             })
             .collect();
         out.sort_unstable();
@@ -154,21 +183,18 @@ impl CallbackTracker {
     /// Records that `from` answered the callback on `object` (returned or
     /// downgraded its lock). Returns `None` if no recall was outstanding for
     /// that pair.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the recall was looked up at the top of the fn and is removed only when empty"
-    )]
     pub fn acknowledge(&mut self, object: ObjectId, from: ClientId) -> Option<RecallProgress> {
         let recall = self.recalls.get_mut(&object)?;
-        recall.outstanding.remove(&from)?;
-        if recall.outstanding.is_empty() {
+        if !recall.settle(from) {
+            return None;
+        }
+        let remaining = recall.outstanding.len();
+        if remaining == 0 {
             self.recalls.remove(&object);
             self.completed += 1;
             Some(RecallProgress::Complete)
         } else {
-            Some(RecallProgress::Pending {
-                remaining: self.recalls[&object].outstanding.len(),
-            })
+            Some(RecallProgress::Pending { remaining })
         }
     }
 
@@ -185,13 +211,12 @@ impl CallbackTracker {
         self.recalls.contains_key(&object)
     }
 
-    /// Clients still owing an answer for `object`.
+    /// True if `client` still owes an answer for `object`.
     #[must_use]
-    pub fn outstanding(&self, object: ObjectId) -> Vec<ClientId> {
+    pub fn is_outstanding(&self, object: ObjectId, client: ClientId) -> bool {
         self.recalls
             .get(&object)
-            .map(|r| r.outstanding.keys().copied().collect())
-            .unwrap_or_default()
+            .is_some_and(|r| r.find(client).is_ok())
     }
 
     /// Drops a holder from every recall (client crashed / evicted without
@@ -203,7 +228,7 @@ impl CallbackTracker {
             reason = "per-entry removal; the completed list is sorted before returning"
         )]
         self.recalls.retain(|&obj, r| {
-            r.outstanding.remove(&client);
+            r.settle(client);
             if r.outstanding.is_empty() {
                 done.push(obj);
                 false
@@ -256,10 +281,12 @@ mod tests {
     fn duplicate_targets_not_remessaged() {
         let mut cb = CallbackTracker::new();
         let first = cb.begin(OBJ, [ClientId(1)], LockMode::Shared);
-        assert_eq!(first, vec![ClientId(1)]);
-        let second = cb.begin(OBJ, [ClientId(1), ClientId(3)], LockMode::Shared);
-        assert_eq!(second, vec![ClientId(3)]);
-        assert_eq!(cb.outstanding(OBJ), vec![ClientId(1), ClientId(3)]);
+        assert_eq!(first.to_vec(), vec![ClientId(1)]);
+        let second = cb.begin(OBJ, [ClientId(3), ClientId(1), ClientId(2)], LockMode::Shared);
+        assert_eq!(second.to_vec(), vec![ClientId(3), ClientId(2)]);
+        for (c, owes) in [(0, false), (1, true), (2, true), (3, true), (4, false)] {
+            assert_eq!(cb.is_outstanding(OBJ, ClientId(c)), owes, "client {c}");
+        }
     }
 
     #[test]
@@ -341,6 +368,7 @@ mod tests {
         let done = cb.forget_client(ClientId(1));
         assert_eq!(done, vec![ObjectId(1)]);
         assert!(cb.is_recalling(ObjectId(2)));
-        assert_eq!(cb.outstanding(ObjectId(2)), vec![ClientId(2)]);
+        assert!(!cb.is_outstanding(ObjectId(2), ClientId(1)));
+        assert!(cb.is_outstanding(ObjectId(2), ClientId(2)));
     }
 }

@@ -59,8 +59,8 @@ pub mod table;
 pub mod waitfor;
 pub mod window;
 
-pub use callback::{CallbackTracker, RecallProgress};
+pub use callback::{CallbackTracker, RecallProgress, Recalled};
 pub use forward::{ForwardEntry, ForwardList};
-pub use table::{Acquire, LockTable, QueueDiscipline, Waiter};
+pub use table::{Acquire, Conflicts, Granted, LockTable, QueueDiscipline, Waiter};
 pub use waitfor::WaitForGraph;
 pub use window::{WindowManager, WindowOffer};

@@ -113,7 +113,9 @@ impl<O: LockOwner> RefLockTable<O> {
                 seq,
             };
             Self::insert_waiter(&mut entry.waiters, waiter, self.discipline, true);
-            return Acquire::Blocked { conflicts: others };
+            return Acquire::Blocked {
+                conflicts: others.into_iter().collect(),
+            };
         }
 
         let conflicts = entry.conflicts_with(owner, mode);
@@ -134,7 +136,9 @@ impl<O: LockOwner> RefLockTable<O> {
             seq,
         };
         Self::insert_waiter(&mut entry.waiters, waiter, self.discipline, false);
-        Acquire::Blocked { conflicts: blockers }
+        Acquire::Blocked {
+            conflicts: blockers.into_iter().collect(),
+        }
     }
 
     fn insert_waiter(
@@ -372,8 +376,11 @@ mod property_tests {
     /// grant, comparable across the two `Waiter` types.
     type Grant = (ObjectId, ClientId, LockMode, SimTime);
 
-    fn grants_new(obj: ObjectId, ws: &[Waiter<ClientId>]) -> Vec<Grant> {
-        ws.iter().map(|w| (obj, w.owner, w.mode, w.deadline)).collect()
+    fn grants_new<'a>(
+        obj: ObjectId,
+        ws: impl IntoIterator<Item = &'a Waiter<ClientId>>,
+    ) -> Vec<Grant> {
+        ws.into_iter().map(|w| (obj, w.owner, w.mode, w.deadline)).collect()
     }
 
     fn grants_ref(obj: ObjectId, ws: &[RefWaiter<ClientId>]) -> Vec<Grant> {
@@ -406,11 +413,11 @@ mod property_tests {
         for id in 0..objects {
             let obj = ObjectId(id);
             assert_eq!(
-                dense.holders(obj),
+                dense.holders(obj).collect::<Vec<_>>(),
                 oracle.holders(obj),
                 "holders diverge on {obj} at step {step}"
             );
-            let dw: Vec<Grant> = grants_new(obj, &dense.waiters(obj));
+            let dw: Vec<Grant> = grants_new(obj, &dense.waiters(obj).collect::<Vec<_>>());
             let ow: Vec<Grant> = grants_ref(obj, &oracle.waiters(obj));
             assert_eq!(dw, ow, "waiters diverge on {obj} at step {step}");
         }

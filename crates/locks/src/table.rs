@@ -52,6 +52,15 @@ pub struct Waiter<O> {
     seq: u64,
 }
 
+/// The lock owners a request conflicts with: the holders of a contended
+/// object (one writer, or a few readers), kept inline.
+pub type Conflicts<O> = InlineVec<O, 4>;
+
+/// Waiters granted by one release, downgrade or cancellation, in grant
+/// order. A release usually promotes one writer or a short run of readers,
+/// so the list stays inline.
+pub type Granted<O> = InlineVec<Waiter<O>, 2>;
+
 /// Result of a lock request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Acquire<O> {
@@ -64,7 +73,7 @@ pub enum Acquire<O> {
     /// The request conflicts and was queued behind the listed holders.
     Blocked {
         /// Current holders whose locks conflict with the request.
-        conflicts: Vec<O>,
+        conflicts: Conflicts<O>,
     },
 }
 
@@ -118,7 +127,7 @@ impl<O: LockOwner> ObjectLocks<O> {
             .any(|(o, m, _)| *o != owner && !m.compatible_with(mode))
     }
 
-    fn conflicts_with(&self, owner: O, mode: LockMode) -> Vec<O> {
+    fn conflicts_with(&self, owner: O, mode: LockMode) -> Conflicts<O> {
         self.holders
             .iter()
             .filter(|(o, m, _)| *o != owner && !m.compatible_with(mode))
@@ -141,7 +150,7 @@ const FREE_POOL_SEED: usize = 1024;
 /// Waiters cancelled by [`LockTable::cancel_expired`], tagged by object.
 pub type ExpiredWaiters<O> = Vec<(ObjectId, Waiter<O>)>;
 /// Grants unblocked by a pruning pass, grouped by object.
-pub type UnblockedGrants<O> = Vec<(ObjectId, Vec<Waiter<O>>)>;
+pub type UnblockedGrants<O> = Vec<(ObjectId, Granted<O>)>;
 
 /// A strict-2PL lock table.
 ///
@@ -342,7 +351,7 @@ impl<O: LockOwner> LockTable<O> {
                 }
                 return Acquire::Upgraded;
             }
-            let others: Vec<O> = entry
+            let others: Conflicts<O> = entry
                 .holders
                 .iter()
                 .filter(|h| h.0 != owner)
@@ -439,10 +448,10 @@ impl<O: LockOwner> LockTable<O> {
     /// Releases `owner`'s lock on `object` (and removes any queued request
     /// by the same owner). Returns the waiters granted as a result, in grant
     /// order.
-    pub fn release(&mut self, object: ObjectId, owner: O) -> Vec<Waiter<O>> {
+    pub fn release(&mut self, object: ObjectId, owner: O) -> Granted<O> {
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return Vec::new();
+            return Granted::new();
         };
         let slot = entry.remove_holder(owner);
         let waiting = entry.waiters.len();
@@ -464,7 +473,7 @@ impl<O: LockOwner> LockTable<O> {
         clippy::indexing_slicing,
         reason = "split was taken from work.len() before extending it"
     )]
-    pub fn release_all(&mut self, owner: O) -> Vec<(ObjectId, Vec<Waiter<O>>)> {
+    pub fn release_all(&mut self, owner: O) -> UnblockedGrants<O> {
         // Held objects first (ascending), then awaited objects (ascending),
         // matching the order of the original held-then-slab-scan walk; an
         // object appearing in both lists is processed twice, which is a
@@ -506,10 +515,10 @@ impl<O: LockOwner> LockTable<O> {
     /// Downgrades `owner`'s exclusive lock on `object` to shared (the
     /// callback optimization of §2). Returns newly granted waiters. No-op
     /// if the owner does not hold an EL.
-    pub fn downgrade(&mut self, object: ObjectId, owner: O) -> Vec<Waiter<O>> {
+    pub fn downgrade(&mut self, object: ObjectId, owner: O) -> Granted<O> {
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return Vec::new();
+            return Granted::new();
         };
         let mut changed = false;
         for h in entry.holders.iter_mut() {
@@ -521,16 +530,16 @@ impl<O: LockOwner> LockTable<O> {
         if changed {
             self.promote(object)
         } else {
-            Vec::new()
+            Granted::new()
         }
     }
 
     /// Removes a queued (not yet granted) request. Returns `true` if one was
     /// removed; promotes followers that may now be grantable.
-    pub fn cancel_wait(&mut self, object: ObjectId, owner: O) -> (bool, Vec<Waiter<O>>) {
+    pub fn cancel_wait(&mut self, object: ObjectId, owner: O) -> (bool, Granted<O>) {
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return (false, Vec::new());
+            return (false, Granted::new());
         };
         let before = entry.waiters.len();
         entry.waiters.retain(|w| w.owner != owner);
@@ -538,7 +547,11 @@ impl<O: LockOwner> LockTable<O> {
         if removed {
             Self::forget_wait_all(&mut self.waits_of, owner, object);
         }
-        let granted = if removed { self.promote(object) } else { Vec::new() };
+        let granted = if removed {
+            self.promote(object)
+        } else {
+            Granted::new()
+        };
         self.reclaim(object);
         (removed, granted)
     }
@@ -598,12 +611,12 @@ impl<O: LockOwner> LockTable<O> {
     }
 
     /// Promotes the longest grantable prefix of the wait queue.
-    fn promote(&mut self, object: ObjectId) -> Vec<Waiter<O>> {
+    fn promote(&mut self, object: ObjectId) -> Granted<O> {
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return Vec::new();
+            return Granted::new();
         };
-        let mut granted = Vec::new();
+        let mut granted = Granted::new();
         while let Some(head) = entry.waiters.first().copied() {
             // Upgrade waiter: grantable when it is the sole holder.
             if let Some(held) = entry.holder_mode(head.owner) {
@@ -636,12 +649,17 @@ impl<O: LockOwner> LockTable<O> {
         granted
     }
 
-    /// Current holders of `object` with their modes.
-    #[must_use]
-    pub fn holders(&self, object: ObjectId) -> Vec<(O, LockMode)> {
+    /// Current holders of `object` with their modes, in grant order.
+    pub fn holders(&self, object: ObjectId) -> impl Iterator<Item = (O, LockMode)> + '_ {
         self.entry(object)
-            .map(|e| e.holders.iter().map(|&(o, m, _)| (o, m)).collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|e| e.holders.iter().map(|&(o, m, _)| (o, m)))
+    }
+
+    /// True if anyone holds a lock on `object`.
+    #[must_use]
+    pub fn has_holders(&self, object: ObjectId) -> bool {
+        self.entry(object).is_some_and(|e| !e.holders.is_empty())
     }
 
     /// The mode `owner` holds on `object`, if any.
@@ -653,18 +671,23 @@ impl<O: LockOwner> LockTable<O> {
     /// Holders whose locks conflict with a hypothetical request — the input
     /// to the paper's H2 site-selection heuristic.
     #[must_use]
-    pub fn conflicting_holders(&self, object: ObjectId, owner: O, mode: LockMode) -> Vec<O> {
+    pub fn conflicting_holders(&self, object: ObjectId, owner: O, mode: LockMode) -> Conflicts<O> {
         self.entry(object)
             .map(|e| e.conflicts_with(owner, mode))
             .unwrap_or_default()
     }
 
     /// Queued waiters on `object`, in service order.
-    #[must_use]
-    pub fn waiters(&self, object: ObjectId) -> Vec<Waiter<O>> {
+    pub fn waiters(&self, object: ObjectId) -> impl Iterator<Item = Waiter<O>> + '_ {
         self.entry(object)
-            .map(|e| e.waiters.to_vec())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|e| e.waiters.iter().copied())
+    }
+
+    /// True if any request is queued on `object`.
+    #[must_use]
+    pub fn has_waiters(&self, object: ObjectId) -> bool {
+        self.entry(object).is_some_and(|e| !e.waiters.is_empty())
     }
 
     /// Objects currently locked by `owner`.
@@ -795,7 +818,7 @@ mod tests {
         let mut lt = table();
         assert!(lt.request(OBJ, A, Shared, t(10)).is_granted());
         assert!(lt.request(OBJ, B, Shared, t(10)).is_granted());
-        assert_eq!(lt.holders(OBJ).len(), 2);
+        assert_eq!(lt.holders(OBJ).count(), 2);
         lt.check_invariants().unwrap();
     }
 
@@ -804,7 +827,7 @@ mod tests {
         let mut lt = table();
         assert!(lt.request(OBJ, A, Exclusive, t(10)).is_granted());
         let r = lt.request(OBJ, B, Shared, t(10));
-        assert_eq!(r, Acquire::Blocked { conflicts: vec![A] });
+        assert_eq!(r, Acquire::Blocked { conflicts: [A].into_iter().collect() });
         let r = lt.request(OBJ, C, Exclusive, t(10));
         assert!(matches!(r, Acquire::Blocked { .. }));
         lt.check_invariants().unwrap();
@@ -832,7 +855,7 @@ mod tests {
         lt.request(OBJ, A, Shared, t(10));
         lt.request(OBJ, B, Shared, t(10));
         let r = lt.request(OBJ, A, Exclusive, t(10));
-        assert_eq!(r, Acquire::Blocked { conflicts: vec![B] });
+        assert_eq!(r, Acquire::Blocked { conflicts: [B].into_iter().collect() });
         let granted = lt.release(OBJ, B);
         assert_eq!(granted.len(), 1);
         assert_eq!(granted[0].owner, A);
@@ -870,7 +893,7 @@ mod tests {
         lt.request(OBJ, C, Shared, t(10));
         let granted = lt.release(OBJ, A);
         assert_eq!(granted.len(), 2);
-        assert_eq!(lt.holders(OBJ).len(), 2);
+        assert_eq!(lt.holders(OBJ).count(), 2);
         lt.check_invariants().unwrap();
     }
 
@@ -935,7 +958,8 @@ mod tests {
         let (expired, _grants) = lt.cancel_expired(t(10));
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].1.owner, B);
-        assert_eq!(lt.waiters(OBJ).len(), 1);
+        assert_eq!(lt.waiters(OBJ).count(), 1);
+        assert!(lt.has_waiters(OBJ) && lt.has_holders(OBJ));
     }
 
     #[test]
@@ -960,10 +984,10 @@ mod tests {
         let mut lt = table();
         lt.request(OBJ, A, Shared, t(10));
         lt.request(OBJ, B, Shared, t(10));
-        assert_eq!(lt.conflicting_holders(OBJ, C, Exclusive), vec![A, B]);
+        assert_eq!(lt.conflicting_holders(OBJ, C, Exclusive).to_vec(), vec![A, B]);
         assert!(lt.conflicting_holders(OBJ, C, Shared).is_empty());
         // A requesting EL conflicts only with B.
-        assert_eq!(lt.conflicting_holders(OBJ, A, Exclusive), vec![B]);
+        assert_eq!(lt.conflicting_holders(OBJ, A, Exclusive).to_vec(), vec![B]);
     }
 
     #[test]
@@ -983,6 +1007,7 @@ mod tests {
         assert_eq!(lt.active_objects(), 1);
         lt.release(OBJ, A);
         assert_eq!(lt.active_objects(), 0);
+        assert!(!lt.has_holders(OBJ) && !lt.has_waiters(OBJ));
     }
 
     #[test]

@@ -130,7 +130,18 @@ impl WindowManager {
     /// the batch size at `now` when a window was actually open, plus one
     /// window-residency span per collected request.
     pub fn close_at(&mut self, object: ObjectId, now: SimTime) -> Option<ForwardList> {
-        let w = self.open.remove(&object)?;
+        self.expire(object, now)?;
+        self.close(object)
+    }
+
+    /// Ends the collection period of the window on `object` at `now`: stamps
+    /// the `WindowClose` event and residency spans of
+    /// [`close_at`](Self::close_at) and returns the collected list, but
+    /// leaves the window in place. The caller then either takes the list
+    /// with [`close`](Self::close) or keeps collecting with
+    /// [`rearm`](Self::rearm). Returns `None` if no window is open.
+    pub fn expire(&mut self, object: ObjectId, now: SimTime) -> Option<&ForwardList> {
+        let w = self.open.get(&object)?;
         let batch = w.list.len() as u32;
         self.sink
             .emit(now, SiteId::Server, || Event::WindowClose { object, batch });
@@ -144,7 +155,30 @@ impl WindowManager {
                 });
             }
         }
-        Some(w.list)
+        Some(&w.list)
+    }
+
+    /// Keeps collecting on an expired window whose object is not servable
+    /// yet: the forward list stays as it is and the window closes again one
+    /// period from `now`. The bookkeeping is exactly that of closing the
+    /// window and re-offering each entry in list order (re-inserting a
+    /// deadline-sorted list reproduces it): one more window opened, one more
+    /// request per entry, a `WindowOpen` event, and, when tracing, every
+    /// entry's residency restarting at `now`. Untraced, no per-entry work is
+    /// done. Returns the new close time, or `None` if no window is open.
+    pub fn rearm(&mut self, object: ObjectId, now: SimTime) -> Option<SimTime> {
+        let w = self.open.get_mut(&object)?;
+        w.closes_at = now + self.window;
+        self.total_opened += 1;
+        self.total_requests += w.list.len() as u64;
+        if self.sink.is_enabled() {
+            w.offered.clear();
+            w.offered
+                .extend(w.list.entries().iter().map(|e| (e.txn, now)));
+        }
+        self.sink
+            .emit(now, SiteId::Server, || Event::WindowOpen { object });
+        Some(w.closes_at)
     }
 
     /// True if a window is currently collecting for `object`.
@@ -252,6 +286,86 @@ mod tests {
         let again = wm.offer(OBJ, entry(2, 10), SimTime::from_secs(5));
         assert!(matches!(again, WindowOffer::Opened { .. }));
         assert_eq!(wm.total_opened(), 2);
+    }
+
+    /// Re-arming a window in place must be indistinguishable from closing
+    /// it and re-offering each entry in list order: the same lists, pending
+    /// counts, close times, counters and trace records, step by step.
+    #[test]
+    fn rearm_matches_close_then_reoffer() {
+        const OBJECTS: u32 = 4;
+        let len = SimDuration::from_millis(50);
+        for seed in 1..=100u64 {
+            let (sink_a, sink_b) = (EventSink::enabled(1 << 12), EventSink::enabled(1 << 12));
+            let mut rearmed = WindowManager::new(len);
+            rearmed.set_sink(sink_a.clone());
+            let mut reoffered = WindowManager::new(len);
+            reoffered.set_sink(sink_b.clone());
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut now = SimTime::ZERO;
+            for step in 0..200u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                now += SimDuration::from_millis(x % 40);
+                let object = ObjectId((x >> 8) as u32 % OBJECTS);
+                match (x >> 16) % 4 {
+                    0 | 1 => {
+                        // Few distinct deadlines, so ties exercise the
+                        // stable insertion order.
+                        let client = ClientId((x >> 24) as u16 % 8);
+                        let e = ForwardEntry {
+                            client,
+                            txn: TransactionId::new(client, step),
+                            deadline: SimTime::from_secs((x >> 32) % 6),
+                            mode: LockMode::for_write((x >> 40) % 2 == 0),
+                        };
+                        assert_eq!(rearmed.offer(object, e, now), reoffered.offer(object, e, now));
+                    }
+                    2 => assert_eq!(rearmed.close_at(object, now), reoffered.close_at(object, now)),
+                    _ => {
+                        let expired = rearmed.expire(object, now).is_some();
+                        let closes_at = rearmed.rearm(object, now);
+                        assert_eq!(expired, closes_at.is_some());
+                        let mut reopened = None;
+                        if let Some(list) = reoffered.close_at(object, now) {
+                            for &e in list.entries() {
+                                if let WindowOffer::Opened { closes_at } = reoffered.offer(object, e, now) {
+                                    reopened = Some(closes_at);
+                                }
+                            }
+                        }
+                        assert_eq!(closes_at, reopened, "seed {seed} step {step}");
+                    }
+                }
+                for o in (0..OBJECTS).map(ObjectId) {
+                    let list = |wm: &WindowManager| wm.open.get(&o).map(|w| w.list.clone());
+                    assert_eq!(list(&rearmed), list(&reoffered), "seed {seed} step {step}");
+                    assert_eq!(rearmed.pending(o), reoffered.pending(o));
+                    assert_eq!(rearmed.closes_at(o), reoffered.closes_at(o));
+                }
+                assert_eq!(rearmed.total_opened(), reoffered.total_opened());
+                assert_eq!(rearmed.total_requests(), reoffered.total_requests());
+                assert_eq!(sink_a.finish(), sink_b.finish(), "seed {seed} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn untraced_rearm_keeps_the_list_in_place() {
+        let mut wm = WindowManager::new(SimDuration::from_millis(50));
+        wm.offer(OBJ, entry(1, 10), SimTime::ZERO);
+        wm.offer(OBJ, entry(2, 5), SimTime::ZERO);
+        let t = SimTime::from_secs(1);
+        let list_at = |wm: &WindowManager| wm.open.get(&OBJ).map(|w| w.list.entries().as_ptr());
+        let before = list_at(&wm);
+        assert_eq!(wm.expire(OBJ, t).map(ForwardList::len), Some(2));
+        assert_eq!(wm.rearm(OBJ, t), Some(t + SimDuration::from_millis(50)));
+        // The same list buffer, never rebuilt, and no residency stamps.
+        assert_eq!(list_at(&wm), before);
+        assert!(wm.open.get(&OBJ).is_some_and(|w| w.offered.is_empty()));
+        assert_eq!((wm.total_opened(), wm.total_requests()), (2, 4));
+        assert_eq!(wm.rearm(ObjectId(9), t), None);
     }
 
     #[test]

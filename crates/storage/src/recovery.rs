@@ -171,6 +171,62 @@ pub fn replay(log_image: &[u8], file: &mut PagedFile) -> (Wal, RecoveryOutcome) 
     (wal, outcome)
 }
 
+/// One logged page write: `(page, offset, before, after)`.
+type UndoEntry = (ObjectId, u16, u64, u64);
+
+/// The undo chains of the active transactions, sorted by transaction id.
+/// Few transactions are active at once, so a sorted vector serves them, and
+/// a resolved transaction's chain is cleared and kept for the next writer
+/// instead of freed.
+#[derive(Debug, Default)]
+struct UndoChains {
+    active: Vec<(u64, Vec<UndoEntry>)>,
+    spare: Vec<Vec<UndoEntry>>,
+}
+
+impl UndoChains {
+    fn find(&self, txn: u64) -> Result<usize, usize> {
+        self.active.binary_search_by_key(&txn, |&(t, _)| t)
+    }
+
+    /// Appends `entry` to `txn`'s chain, starting one if needed.
+    fn push(&mut self, txn: u64, entry: UndoEntry) {
+        match self.find(txn) {
+            Ok(i) => {
+                if let Some((_, chain)) = self.active.get_mut(i) {
+                    chain.push(entry);
+                }
+            }
+            Err(i) => {
+                let mut chain = self.spare.pop().unwrap_or_default();
+                chain.push(entry);
+                self.active.insert(i, (txn, chain));
+            }
+        }
+    }
+
+    /// Removes and returns `txn`'s chain, if it has one.
+    fn take(&mut self, txn: u64) -> Option<Vec<UndoEntry>> {
+        let i = self.find(txn).ok()?;
+        Some(self.active.remove(i).1)
+    }
+
+    /// Keeps a resolved chain's buffer for a later transaction.
+    fn recycle(&mut self, mut chain: Vec<UndoEntry>) {
+        chain.clear();
+        self.spare.push(chain);
+    }
+
+    /// The active transactions, ascending.
+    fn txns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.active.iter().map(|&(t, _)| t)
+    }
+
+    fn len(&self) -> usize {
+        self.active.len()
+    }
+}
+
 /// The durability facade the engines write through: a [`PagedFile`] guarded
 /// by a [`Wal`] observing log-before-data and force-at-commit, with fuzzy
 /// checkpoints every [`CHECKPOINT_EVERY`] commits.
@@ -198,8 +254,7 @@ pub fn replay(log_image: &[u8], file: &mut PagedFile) -> (Wal, RecoveryOutcome) 
 pub struct DurableStore {
     file: PagedFile,
     wal: Wal,
-    /// Per-active-transaction undo chains: (page, offset, before, after).
-    undo: BTreeMap<u64, Vec<(ObjectId, u16, u64, u64)>>,
+    undo: UndoChains,
     commits_since_checkpoint: u32,
     checkpoints: u64,
 }
@@ -216,7 +271,7 @@ impl DurableStore {
         DurableStore {
             file: PagedFile::from_disk(DiskFile::new(num_pages), buffer_frames),
             wal: Wal::new(),
-            undo: BTreeMap::new(),
+            undo: UndoChains::default(),
             commits_since_checkpoint: 0,
             checkpoints: 0,
         }
@@ -257,10 +312,7 @@ impl DurableStore {
             before,
             after: stamp,
         });
-        self.undo
-            .entry(txn)
-            .or_default()
-            .push((page, STAMP_OFFSET as u16, before, stamp));
+        self.undo.push(txn, (page, STAMP_OFFSET as u16, before, stamp));
         stamp
     }
 
@@ -268,7 +320,9 @@ impl DurableStore {
     /// may acknowledge once this returns), then takes a fuzzy checkpoint
     /// every [`CHECKPOINT_EVERY`] commits.
     pub fn commit(&mut self, txn: u64) {
-        self.undo.remove(&txn);
+        if let Some(chain) = self.undo.take(txn) {
+            self.undo.recycle(chain);
+        }
         self.wal.append(&LogRecord::Commit { txn });
         self.wal.flush();
         self.commits_since_checkpoint += 1;
@@ -282,7 +336,7 @@ impl DurableStore {
     /// site crashes first, replay reaches the same state via undo.
     #[expect(clippy::expect_used, reason = "the undo chain only references pages of this database")]
     pub fn abort(&mut self, txn: u64) {
-        let chain = self.undo.remove(&txn).unwrap_or_default();
+        let chain = self.undo.take(txn).unwrap_or_default();
         for &(page, offset, before, after) in chain.iter().rev() {
             self.wal.append(&LogRecord::Update {
                 txn,
@@ -296,6 +350,7 @@ impl DurableStore {
                 .with_page_mut(page, |p| p.write_u64_at(offset as usize, before))
                 .expect("undo chain references an existing page");
         }
+        self.undo.recycle(chain);
         self.wal.append(&LogRecord::Abort { txn });
     }
 
@@ -305,7 +360,7 @@ impl DurableStore {
     pub fn checkpoint(&mut self) {
         self.wal.flush();
         self.file.flush();
-        let active: Vec<u64> = self.undo.keys().copied().collect();
+        let active: Vec<u64> = self.undo.txns().collect();
         self.wal.append(&LogRecord::Checkpoint {
             active,
             redo_lsn: self.wal.next_lsn(),
@@ -341,7 +396,7 @@ impl DurableStore {
         let mut store = DurableStore {
             file,
             wal,
-            undo: BTreeMap::new(),
+            undo: UndoChains::default(),
             commits_since_checkpoint: 0,
             checkpoints: 0,
         };
@@ -401,7 +456,7 @@ impl DurableStore {
     /// commit or abort.
     #[must_use]
     pub fn has_updates(&self, txn: u64) -> bool {
-        self.undo.contains_key(&txn)
+        self.undo.find(txn).is_ok()
     }
 
     /// Checkpoints taken since this store (re)opened.

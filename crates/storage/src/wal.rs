@@ -100,8 +100,8 @@ fn get_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
 }
 
 impl LogRecord {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(32);
+    /// Appends the record's payload encoding to `p`.
+    fn encode_into(&self, p: &mut Vec<u8>) {
         match self {
             LogRecord::Update {
                 txn,
@@ -111,30 +111,29 @@ impl LogRecord {
                 after,
             } => {
                 p.push(KIND_UPDATE);
-                put_u64(&mut p, *txn);
+                put_u64(p, *txn);
                 p.extend_from_slice(&page.0.to_le_bytes());
                 p.extend_from_slice(&offset.to_le_bytes());
-                put_u64(&mut p, *before);
-                put_u64(&mut p, *after);
+                put_u64(p, *before);
+                put_u64(p, *after);
             }
             LogRecord::Commit { txn } => {
                 p.push(KIND_COMMIT);
-                put_u64(&mut p, *txn);
+                put_u64(p, *txn);
             }
             LogRecord::Abort { txn } => {
                 p.push(KIND_ABORT);
-                put_u64(&mut p, *txn);
+                put_u64(p, *txn);
             }
             LogRecord::Checkpoint { active, redo_lsn } => {
                 p.push(KIND_CHECKPOINT);
-                put_u64(&mut p, *redo_lsn);
+                put_u64(p, *redo_lsn);
                 p.extend_from_slice(&(active.len() as u32).to_le_bytes());
                 for &t in active {
-                    put_u64(&mut p, t);
+                    put_u64(p, t);
                 }
             }
         }
-        p
     }
 
     #[expect(clippy::expect_used, reason = "each get(at..at + n) returned exactly n bytes")]
@@ -282,13 +281,20 @@ impl Wal {
         }
     }
 
-    /// Appends a record to the staged tail and returns its LSN.
+    /// Appends a record to the staged tail and returns its LSN. The record
+    /// is encoded in place: its length prefix is patched in once the payload
+    /// is written.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the 4-byte length prefix at start was pushed just above"
+    )]
     pub fn append(&mut self, rec: &LogRecord) -> Lsn {
-        let payload = rec.encode_payload();
-        self.staged
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let sum = fnv1a(&payload);
-        self.staged.extend_from_slice(&payload);
+        let start = self.staged.len();
+        self.staged.extend_from_slice(&[0; 4]);
+        rec.encode_into(&mut self.staged);
+        let payload = &self.staged[start + 4..];
+        let (len, sum) = (payload.len() as u32, fnv1a(payload));
+        self.staged[start..start + 4].copy_from_slice(&len.to_le_bytes());
         self.staged.extend_from_slice(&sum.to_le_bytes());
         let lsn = self.next_lsn;
         self.next_lsn += 1;

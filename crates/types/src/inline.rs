@@ -63,10 +63,7 @@ impl<T, const N: usize> InlineVec<T, N> {
 
     /// Iterates the elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.inline[..self.len.min(N)]
-            .iter()
-            .filter_map(Option::as_ref)
-            .chain(self.spill.iter())
+        self.into_iter()
     }
 
     /// Iterates the elements mutably, in order.
@@ -215,6 +212,77 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
     #[must_use]
     pub fn to_vec(&self) -> Vec<T> {
         self.iter().copied().collect()
+    }
+}
+
+impl<T, const N: usize> std::ops::Index<usize> for InlineVec<T, N> {
+    type Output = T;
+
+    /// The element at `pos`, like a slice index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len()`.
+    fn index(&self, pos: usize) -> &T {
+        self.get(pos)
+            .unwrap_or_else(|| panic!("index {pos} out of bounds (len {})", self.len))
+    }
+}
+
+/// By-value iterator over an [`InlineVec`], in order.
+#[derive(Debug, Clone)]
+pub struct IntoIter<T, const N: usize> {
+    vec: InlineVec<T, N>,
+    pos: usize,
+}
+
+impl<T: Copy, const N: usize> Iterator for IntoIter<T, N> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        let item = self.vec.get(self.pos).copied();
+        self.pos += usize::from(item.is_some());
+        item
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.vec.len() - self.pos;
+        (left, Some(left))
+    }
+}
+
+impl<T: Copy, const N: usize> IntoIterator for InlineVec<T, N> {
+    type Item = T;
+    type IntoIter = IntoIter<T, N>;
+
+    fn into_iter(self) -> IntoIter<T, N> {
+        IntoIter { vec: self, pos: 0 }
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::iter::Chain<
+        std::iter::FilterMap<std::slice::Iter<'a, Option<T>>, fn(&Option<T>) -> Option<&T>>,
+        std::slice::Iter<'a, T>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let inline: fn(&Option<T>) -> Option<&T> = Option::as_ref;
+        self.inline[..self.len.min(N)]
+            .iter()
+            .filter_map(inline)
+            .chain(self.spill.iter())
+    }
+}
+
+impl<T: Copy, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = InlineVec::new();
+        for x in iter {
+            v.push(x);
+        }
+        v
     }
 }
 
@@ -389,6 +457,19 @@ mod tests {
                 _ => {}
             }
             check_equals(&iv, &model);
+        }
+    }
+
+    #[test]
+    fn collect_into_iter_and_index_match_vec() {
+        let model: Vec<u32> = (10..15).collect();
+        let iv: InlineVec<u32, 2> = model.iter().copied().collect();
+        check_equals(&iv, &model);
+        assert_eq!((&iv).into_iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
+        assert_eq!(iv.clone().into_iter().size_hint(), (5, Some(5)));
+        assert_eq!(iv.clone().into_iter().collect::<Vec<_>>(), model);
+        for (i, v) in model.iter().enumerate() {
+            assert_eq!(&iv[i], v);
         }
     }
 }

@@ -10,6 +10,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> paperbench's own tests (it drives engine and layer APIs from outside the workspace)"
+# paperbench is a package of its own, so the workspace build above never
+# compiles it; an engine API change that breaks the benchmark fails here.
+cargo test --release -q --offline --manifest-path paperbench/Cargo.toml
+
 echo "==> cargo clippy (determinism contract D1-D6/D9 + lint policy, see clippy.toml)"
 # Warnings are errors via [workspace.lints]; a reasoned #[expect] that no
 # longer matches its site fails as unfulfilled_lint_expectations.

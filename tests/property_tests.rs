@@ -132,7 +132,7 @@ fn wfg_gate_prevents_cycles() {
         for _ in 0..edges {
             let a = rng.below(8) as u8;
             let b = rng.below(8) as u8;
-            if a != b && !g.would_deadlock(a, &[b]) {
+            if a != b && !g.would_deadlock(a, [b]) {
                 g.add_waits(a, [b]);
             }
             assert!(!g.has_cycle());
